@@ -23,7 +23,8 @@ class ScheduleError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """observe() calls violated the one-pass streaming contract."""
+    """observe() calls violated the one-pass streaming contract, or a
+    quantity was read before the stream defined it."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,6 @@ class BatchMeansAccumulator(EstimatorSink):
     """Streams iterates into per-batch means and finalizes the weighted
     between-batch covariance. Peak state is O(d·M), independent of n."""
 
-    needs_hessian = False
-
     def __init__(self, schedule: BatchSchedule, d: int, diagonal_only: bool = False):
         self.schedule = schedule
         self.d = d
@@ -107,22 +106,31 @@ class BatchMeansAccumulator(EstimatorSink):
         self.batch_means: list[np.ndarray] = []
         self._post_burn_sum = np.zeros(d)
 
-    def observe(self, i, x, g=None, h=None):
-        if i != self._seen + 1:
-            raise ProtocolError(f"expected iteration {self._seen + 1}, got {i}")
-        if i > self.schedule.n:
+    def observe(self, start, xs, a=None, r=None, w=None):
+        if start != self._seen + 1:
+            raise ProtocolError(f"expected iteration {self._seen + 1}, got {start}")
+        stop = start + len(xs) - 1
+        if stop > self.schedule.n:
             raise ProtocolError(f"observe past the final boundary e_M={self.schedule.n}")
-        self._seen = i
-        self._cur_sum += x
-        self._cur_count += 1
-        if self._batch > 0:
-            self._post_burn_sum += x
-        if i == self.schedule.boundaries[self._batch]:
-            self.batch_counts.append(self._cur_count)
-            self.batch_means.append(self._cur_sum / self._cur_count)
-            self._cur_sum = np.zeros(self.d)
-            self._cur_count = 0
-            self._batch += 1
+        # Block offsets at which a segment starts: 0, then one past every
+        # boundary e_k that falls inside the block (except the block's end).
+        bounds = self.schedule.boundaries
+        closing = [e - start + 1 for e in bounds[self._batch:] if e <= stop]
+        offsets = [0] + [c for c in closing if c < len(xs)]
+        sums = np.add.reduceat(xs, offsets, axis=0)
+        ends = offsets[1:] + [len(xs)]
+        for j, seg_sum in enumerate(sums):
+            self._cur_sum += seg_sum
+            self._cur_count += ends[j] - offsets[j]
+            if self._batch > 0:
+                self._post_burn_sum += seg_sum
+            if j < len(closing):
+                self.batch_counts.append(self._cur_count)
+                self.batch_means.append(self._cur_sum / self._cur_count)
+                self._cur_sum = np.zeros(self.d)
+                self._cur_count = 0
+                self._batch += 1
+        self._seen = stop
 
     def finalize(self) -> CovarianceEstimate:
         if self._seen != self.schedule.n:
@@ -150,4 +158,8 @@ class BatchMeansAccumulator(EstimatorSink):
     def overall_mean(self) -> np.ndarray:
         """X̄_M: mean of all post-burn-in iterates seen so far."""
         total = self._seen - self.schedule.burn_in
+        if total <= 0:
+            raise ProtocolError(
+                f"overall mean is undefined before burn-in ends: seen "
+                f"{self._seen} of e_0={self.schedule.burn_in} iterations")
         return self._post_burn_sum / total

@@ -11,6 +11,7 @@ replication index and results are reduced in index order.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -95,6 +96,7 @@ class AggregateRow:
     oracle_len: float
     n_sim: int
     wall_time: float = 0.0
+    intervals: int = 0   # intervals behind cov_rate; JSON only
 
     def csv_line(self) -> str:
         return (f"{self.scenario},{self.estimator},{self.cov_rate:.6g},"
@@ -257,15 +259,21 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
 
 
 def _rep_job(args):
-    scn, oracle, idx, seed = args
-    return run_replication(scn, oracle, idx, seed)
+    return run_replication(*args)
 
 
-def _map_jobs(jobs, workers: int):
+def effective_workers(requested: int) -> int:
+    """Pool size actually used: the request, capped at the CPUs this
+    process may run on."""
+    return max(1, min(int(requested), len(os.sched_getaffinity(0))))
+
+
+def _map_jobs(job, jobs, workers: int):
+    workers = effective_workers(workers)
     if workers <= 1:
-        return [_rep_job(j) for j in jobs]
+        return [job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_rep_job, jobs, chunksize=1))
+        return list(pool.map(job, jobs, chunksize=1))
 
 
 def aggregate(scn: ScenarioConfig, oracle: OracleBundle,
@@ -288,6 +296,7 @@ def aggregate(scn: ScenarioConfig, oracle: OracleBundle,
             oracle_len=oracle_len,
             n_sim=len(ok),
             wall_time=wall_time,
+            intervals=hits.size,
         ))
     return rows
 
@@ -298,7 +307,7 @@ def run_scenario(scn: ScenarioConfig, workers: int = 1):
     oracle = make_oracle_bundle(scn)
     children = np.random.SeedSequence(scn.seed).spawn(scn.n_sim)
     jobs = [(scn, oracle, i, children[i]) for i in range(scn.n_sim)]
-    results = _map_jobs(jobs, workers)
+    results = _map_jobs(_rep_job, jobs, workers)
     wall = time.monotonic() - t0
     rows = aggregate(scn, oracle, results, wall)
     failures = [(r.index, r.error) for r in results if not r.ok]
@@ -381,11 +390,7 @@ def run_highdim_scenario(scn: HighDimScenario, workers: int = 1):
     children = np.random.SeedSequence(scn.seed).spawn(scn.n_sim)
     jobs = [(scn, x_star, node_r1, node_s, i, children[i])
             for i in range(scn.n_sim)]
-    if workers <= 1:
-        results = [_highdim_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_highdim_job, jobs, chunksize=1))
+    results = _map_jobs(_highdim_job, jobs, workers)
     wall = time.monotonic() - t0
     results = sorted(results, key=lambda r: r.index)
     ok = [r for r in results if r.ok]
@@ -401,15 +406,20 @@ def run_highdim_scenario(scn: HighDimScenario, workers: int = 1):
         rows.append(AggregateRow(
             scenario=scn.scenario_id, estimator=label,
             cov_rate=100.0 * float(hits.mean()), avg_len=float(lens.mean()),
-            oracle_len=oracle_len, n_sim=len(ok), wall_time=wall))
+            oracle_len=oracle_len, n_sim=len(ok), wall_time=wall,
+            intervals=hits.size))
     return rows, []
 
 
 # --- output ------------------------------------------------------------------
 
-def write_results(rows: list, failures: dict, out_dir, config_echo: dict) -> None:
-    """results.csv (deterministic bytes) and results.json (full provenance)."""
-    import os
+def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
+                  workers_used: int = 1) -> None:
+    """results.csv (deterministic bytes) and results.json (full provenance).
+
+    The coverage SE is binomial over the row's intervals: n_sim·d for a
+    low-dimensional row, n_sim·|S0| or n_sim·|S0ᶜ| for a high-dimensional one.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w") as fh:
@@ -422,12 +432,13 @@ def write_results(rows: list, failures: dict, out_dir, config_echo: dict) -> Non
             "scenario": r.scenario, "estimator": r.estimator,
             "cov_rate_pct": r.cov_rate, "avg_len": r.avg_len,
             "oracle_len": r.oracle_len, "n_sim": r.n_sim,
-            "wall_time_s": r.wall_time,
+            "wall_time_s": r.wall_time, "intervals": r.intervals,
             "cov_rate_se_pp": 100.0 * float(
                 np.sqrt(max(r.cov_rate / 100 * (1 - r.cov_rate / 100), 0.0)
-                        / max(r.n_sim, 1))),
+                        / max(r.intervals, 1))),
         } for r in rows],
         "failures": failures,
+        "workers_used": workers_used,
     }
     with open(os.path.join(out_dir, "results.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -451,7 +462,8 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None):
             failures[scn.scenario_id] = fails
     write_results(all_rows, failures, out_dir,
                   {"path": str(config_path), "workers": workers,
-                   "seed_override": seed, "fixed_design": fixed_design})
+                   "seed_override": seed, "fixed_design": fixed_design},
+                  workers_used=effective_workers(workers))
     return all_rows
 
 
@@ -469,5 +481,6 @@ def simulate_highdim(config_path, out_dir, workers=None, seed=None):
         all_rows.extend(rows)
     write_results(all_rows, {}, out_dir,
                   {"path": str(config_path), "workers": workers,
-                   "seed_override": seed})
+                   "seed_override": seed},
+                  workers_used=effective_workers(workers))
     return all_rows

@@ -1,8 +1,8 @@
 """Streaming plug-in estimator of the sandwich covariance.
 
-Accumulates the running means of per-sample Hessians and gradient outer
-products, clamps the Hessian-mean spectrum away from zero, and returns
-Ã⁻¹ S_n Ã⁻¹.
+Accumulates the running means of per-sample Hessians ℓ″·aaᵀ and gradient
+outer products (ℓ′)²·aaᵀ, one block of iterations at a time, clamps the
+Hessian-mean spectrum away from zero, and returns Ã⁻¹ S_n Ã⁻¹.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class PluginAccumulator(EstimatorSink):
     """Streaming accumulator for A_n (Hessian mean) and S_n (gradient
     outer-product mean); finalize() yields Ã⁻¹ S_n Ã⁻¹."""
 
-    needs_hessian = True
-
     def __init__(self, d: int, lambda_a: float):
         if lambda_a <= 0:
             raise ValueError("lambda_a must be positive")
@@ -49,14 +47,14 @@ class PluginAccumulator(EstimatorSink):
         self.sum_g = np.zeros((d, d))
         self.count = 0
 
-    def observe(self, i, x, g, h=None):
-        if h is None:
-            raise ValueError("plug-in accumulator needs the per-sample Hessian")
-        if g.shape != (self.d,) or h.shape != (self.d, self.d):
+    def observe(self, start, xs, a, r, w):
+        m = len(a)
+        if a.shape != (m, self.d) or np.shape(r) != (m,) or np.shape(w) != (m,):
             raise ValueError("dimension mismatch in plug-in observe")
-        self.sum_g += np.outer(g, g)
-        self.sum_h += h
-        self.count += 1
+        g = a * r[:, None]
+        self.sum_g += g.T @ g
+        self.sum_h += (a * w[:, None]).T @ a
+        self.count += m
 
     @property
     def a_n(self) -> np.ndarray:

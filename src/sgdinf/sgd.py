@@ -1,10 +1,12 @@
 """Averaged SGD driver with pluggable streaming estimator sinks.
 
-The driver makes one pass over fresh samples, keeps the running
-(Polyak-Ruppert) average of the iterates, and feeds every registered sink
-one observation per iteration: the new iterate, the stochastic gradient
-that produced it, and — only if some sink asks for it — the per-sample
-Hessian at the pre-step iterate.
+run() makes one pass over fresh samples and keeps the (Polyak-Ruppert)
+average of the iterates. It walks the stream in chunks: inside a chunk
+only the sequential recursion runs, one scalar GLM derivative ℓ′(aᵀx, b)
+per iteration; at the end of the chunk it checks the iterates for
+divergence and hands every registered sink the chunk's iterates,
+covariates and the scalar derivatives ℓ′ and ℓ″, from which gradients
+ℓ′·a and Hessians ℓ″·aaᵀ follow.
 """
 
 from __future__ import annotations
@@ -80,15 +82,17 @@ def sgd_step(state: SgdState, schedule: StepSchedule, g: np.ndarray) -> SgdState
 class EstimatorSink:
     """Streaming consumer interface for the SGD loop.
 
-    observe() is called exactly once per iteration with increasing i; the
-    arrays passed in are only valid during the call. Set needs_hessian on
-    subclasses that require the per-sample Hessian.
+    observe(start, xs, a, r, w) is called once per block of consecutive
+    iterations; the blocks tile 1..n in order. Row j of a block belongs to
+    iteration i = start + j: xs[j] is the iterate x_i, a[j] the covariate
+    a_i, r[j] = ℓ′(a_iᵀx_{i−1}, b_i) and w[j] = ℓ″(a_iᵀx_{i−1}, b_i), so
+    the stochastic gradient is r[j]·a[j] and the per-sample Hessian
+    w[j]·a[j]a[j]ᵀ, both at the pre-step iterate. The arrays are only valid
+    during the call.
     """
 
-    needs_hessian = False
-
-    def observe(self, i: int, x: np.ndarray, g: np.ndarray,
-                h: np.ndarray | None = None) -> None:
+    def observe(self, start: int, xs: np.ndarray, a: np.ndarray,
+                r: np.ndarray, w: np.ndarray) -> None:
         raise NotImplementedError
 
     def finalize(self) -> CovarianceEstimate:
@@ -105,10 +109,10 @@ class TraceSink(EstimatorSink):
         self.indices: list[int] = []
         self._rows: list[np.ndarray] = []
 
-    def observe(self, i, x, g, h=None):
-        if i % self.every == 0:
-            self.indices.append(i)
-            self._rows.append(x.copy())
+    def observe(self, start, xs, a=None, r=None, w=None):
+        first = -start % self.every
+        self.indices.extend(range(start + first, start + len(xs), self.every))
+        self._rows.extend(xs[first::self.every].copy())
 
     @property
     def trace(self) -> np.ndarray:
@@ -128,6 +132,10 @@ class TraceSink(EstimatorSink):
         np.save(path, self.trace)
 
 
+# Iterations per block handed to the sinks. The buffers are O(_CHUNK·d).
+_CHUNK = 4096
+
+
 def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         x0=None, sinks=(), rng: np.random.Generator | None = None,
         data=None):
@@ -144,11 +152,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         x0 = np.zeros(d)
     x = np.asarray(x0, dtype=float).copy()
     x0 = x.copy()
-    x_bar = np.zeros(d)
     sinks = list(sinks)
-    want_h = any(s.needs_hessian for s in sinks)
-    linear = model.kind is models.ModelKind.LINEAR
-    xs = model.xs
 
     if data is not None:
         a_all, b_all = data
@@ -162,28 +166,51 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         a_all, b_all = models.sample_dataset(model, n, rng)
 
     eta, alpha = schedule.eta, schedule.alpha
+    logistic = model.kind is models.ModelKind.LOGISTIC
+    size = min(_CHUNK, n)
+    xs_buf = np.empty((size, d))
+    r_buf = np.empty(size)
+    t_buf = np.empty(size)
+    x_sum = np.zeros(d)
+    exp = math.exp
     # overflow inside the loop is the divergence we detect and raise on
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            a = a_all[i - 1]
-            b = b_all[i - 1]
-            if linear:
-                g = (a @ x - b) * a
-                h = np.outer(a, a) if want_h else None
-            else:
-                t = a @ x
-                g = (-models.sigmoid(-b * t) * b) * a
-                if want_h:
-                    w = models.sigmoid(t) * models.sigmoid(-t)
-                    h = w * np.outer(a, a)
+        for start in range(1, n + 1, size):
+            m = min(size, n + 1 - start)
+            a_blk = a_all[start - 1:start - 1 + m]
+            steps = eta * np.arange(start, start + m, dtype=float) ** (-alpha)
+            # The sequential part: only t = aᵀx, the scalar ℓ′(t, b) and
+            # the step are computed per iteration.
+            for k, (a, b, gamma) in enumerate(zip(
+                    a_blk, b_all[start - 1:start - 1 + m].tolist(), steps.tolist())):
+                t = float(a.dot(x))
+                if logistic:
+                    # ℓ′ = −b·σ(−bt), in the form whose exp cannot overflow
+                    u = b * t
+                    if u > 0:
+                        e = exp(-u)
+                        r = -b * e / (1.0 + e)
+                    else:
+                        r = -b / (1.0 + exp(u))
                 else:
-                    h = None
-            x -= (eta * i ** (-alpha)) * g
-            if not math.isfinite(float(x @ x)):
-                raise DivergenceError(i)
-            x_bar += (x - x_bar) / i
+                    r = t - b
+                x -= a * (gamma * r)
+                xs_buf[k] = x
+                r_buf[k] = r
+                t_buf[k] = t
+            xs, rs, ts = xs_buf[:m], r_buf[:m], t_buf[:m]
+            # an iterate has diverged once its squared norm is not finite
+            bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", xs, xs)))
+            if bad.size:
+                raise DivergenceError(start + int(bad[0]))
+            x_sum += xs.sum(axis=0)
+            if logistic:
+                ws = models.sigmoid(ts) * models.sigmoid(-ts)
+            else:
+                ws = np.ones(m)
             for s in sinks:
-                s.observe(i, x, g, h)
+                s.observe(start, xs, a_blk, rs, ws)
+    x_bar = x_sum / n
 
     estimates = []
     errors = {}

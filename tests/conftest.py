@@ -1,5 +1,6 @@
 """Shared test helpers: an independent reference SGD used to cross-check
-the streaming implementation, and small fixtures."""
+the streaming implementation, small fixtures, and the end-of-run report
+of the acceptance verdicts."""
 
 import numpy as np
 import pytest
@@ -89,3 +90,21 @@ def batch_means_floor(schedule, cov, draws=20_000, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+# Verdict lines of the acceptance tests, printed after the run by
+# pytest_terminal_summary: pytest captures a test's output at the
+# file-descriptor level, so a line printed inside a passing test never
+# reaches the terminal under a plain `pytest -q`.
+ACCEPTANCE_VERDICTS: list[str] = []
+
+
+def record_verdict(line: str) -> None:
+    ACCEPTANCE_VERDICTS.append(line)
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_VERDICTS:
+        terminalreporter.section("acceptance verdicts")
+        for line in ACCEPTANCE_VERDICTS:
+            terminalreporter.write_line(line)

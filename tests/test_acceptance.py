@@ -1,12 +1,11 @@
 """Acceptance suite: one test per acceptance criterion.
 
-Each test prints a single PASS/FAIL line (bypassing capture so the verdicts
-always appear) and then asserts. Clause values are embedded in the line so a
+Each test records a single PASS/FAIL line, which the terminal summary prints
+after the run (see conftest.pytest_terminal_summary), and then asserts. Clause values are embedded in the line so a
 failing criterion shows exactly which clause missed and by how much.
 """
 
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from sgdinf.models import (
 from sgdinf.plugin import PluginAccumulator
 from sgdinf.sgd import EstimatorSink, StepSchedule, TraceSink, run
 
-from conftest import batch_means_floor
+from conftest import batch_means_floor, record_verdict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,7 +38,7 @@ def _emit(name: str, clauses: list) -> None:
     detail = "; ".join(f"{desc} [{'ok' if good else 'MISS'}]"
                        for desc, good in clauses)
     line = f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} -- {detail}"
-    print(line, file=sys.__stdout__, flush=True)
+    record_verdict(line)
     assert ok, line
 
 
@@ -56,15 +55,14 @@ def linear_identity(d=5, sigma=1.0):
 
 
 class CheckpointSink(EstimatorSink):
-    needs_hessian = False
-
     def __init__(self, marks):
         self.marks = set(marks)
         self.snapshots = {}
 
-    def observe(self, i, x, g, h=None):
-        if i in self.marks:
-            self.snapshots[i] = x.copy()
+    def observe(self, start, xs, a, r, w):
+        for i in self.marks:
+            if start <= i < start + len(xs):
+                self.snapshots[i] = xs[i - start].copy()
 
     def finalize(self):
         return None

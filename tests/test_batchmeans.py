@@ -75,9 +75,12 @@ class TestMakeSchedule:
         assert batch_count(100_000, 0.3) == 32
 
 
-def feed(acc, xs):
-    for i, x in enumerate(xs, start=1):
-        acc.observe(i, np.atleast_1d(np.asarray(x, dtype=float)))
+def feed(acc, xs, block=3, start=1):
+    """Stream the iterates xs into acc in blocks of `block` rows."""
+    xs = np.asarray(xs, dtype=float)
+    xs = xs.reshape(len(xs), -1)
+    for lo in range(0, len(xs), block):
+        acc.observe(start + lo, xs[lo:lo + block])
 
 
 class TestAccumulator:
@@ -111,8 +114,7 @@ class TestAccumulator:
         sched = make_schedule(n, 5, 0.5)
         acc = BatchMeansAccumulator(sched, d)
         xs = rng.standard_normal((n, d))
-        for i in range(1, n + 1):
-            acc.observe(i, xs[i - 1])
+        feed(acc, xs, block=7)
         est = acc.finalize()
 
         bounds = (0,) + sched.boundaries
@@ -132,8 +134,7 @@ class TestAccumulator:
         sched = make_schedule(n, 4, 0.6)
         acc = BatchMeansAccumulator(sched, 2)
         xs = rng.standard_normal((n, 2))
-        for i in range(1, n + 1):
-            acc.observe(i, xs[i - 1])
+        feed(acc, xs, block=1)
         counts = np.asarray(acc.batch_counts[1:], dtype=float)
         means = np.asarray(acc.batch_means[1:])
         lhs = (counts[:, None] * means).sum(axis=0)
@@ -149,8 +150,7 @@ class TestAccumulator:
             sched = make_schedule(n, 6, 0.5)
             acc = BatchMeansAccumulator(sched, 4)
             xs = rng.standard_normal((n, 4)).cumsum(axis=0) / 50.0
-            for i in range(1, n + 1):
-                acc.observe(i, xs[i - 1])
+            feed(acc, xs, block=1 + 50 * trial)
             est = acc.finalize()
             assert np.linalg.eigvalsh(est.matrix).min() >= -1e-10
 
@@ -158,15 +158,33 @@ class TestAccumulator:
         sched = make_schedule(100, 2, 0.5)
         acc = BatchMeansAccumulator(sched, 1)
         with pytest.raises(ProtocolError):
-            acc.observe(2, np.zeros(1))        # skipped i = 1
+            acc.observe(2, np.zeros((1, 1)))   # skipped i = 1
         acc2 = BatchMeansAccumulator(sched, 1)
         feed(acc2, np.zeros(50))
         with pytest.raises(ProtocolError):
             acc2.finalize()                    # stream not finished
+        with pytest.raises(ProtocolError):
+            feed(acc2, np.zeros(5), start=50)  # block overlaps the last one
         acc3 = BatchMeansAccumulator(sched, 1)
         feed(acc3, np.zeros(100))
         with pytest.raises(ProtocolError):
-            acc3.observe(101, np.zeros(1))     # past e_M
+            acc3.observe(101, np.zeros((1, 1)))  # past e_M
+        acc4 = BatchMeansAccumulator(sched, 1)
+        feed(acc4, np.zeros(98))
+        with pytest.raises(ProtocolError):
+            acc4.observe(99, np.zeros((3, 1)))   # block runs past e_M
+        assert acc4.batch_counts == [11, 33]     # the bad block left no trace
+
+    def test_overall_mean_needs_burn_in_to_end(self):
+        sched = BatchSchedule(m=1, n_factor=1.0, alpha=0.5, boundaries=(2, 4))
+        acc = BatchMeansAccumulator(sched, 1)
+        with pytest.raises(ProtocolError, match="burn-in"):
+            acc.overall_mean
+        feed(acc, [1.0, 1.0])
+        with pytest.raises(ProtocolError, match="burn-in"):
+            acc.overall_mean                   # seen == e_0: nothing after it
+        feed(acc, [4.0], start=3)
+        assert acc.overall_mean[0] == 4.0
 
     def test_diagonal_only_agrees_on_diagonal(self, rng):
         n = 300
@@ -174,9 +192,8 @@ class TestAccumulator:
         full = BatchMeansAccumulator(sched, 3)
         diag = BatchMeansAccumulator(sched, 3, diagonal_only=True)
         xs = rng.standard_normal((n, 3))
-        for i in range(1, n + 1):
-            full.observe(i, xs[i - 1])
-            diag.observe(i, xs[i - 1])
+        feed(full, xs, block=1)
+        feed(diag, xs, block=64)
         f = full.finalize().matrix
         g = diag.finalize().matrix
         np.testing.assert_allclose(np.diag(g), np.diag(f), atol=1e-12)
@@ -188,8 +205,7 @@ class TestAccumulator:
         sched = make_schedule(n, 5, 0.5)
         d = 8
         acc = BatchMeansAccumulator(sched, d)
-        for i in range(1, n + 1):
-            acc.observe(i, np.full(d, float(i)))
+        feed(acc, np.repeat(np.arange(1.0, n + 1)[:, None], d, axis=1), block=4096)
         stored = 0
         for value in vars(acc).values():
             if isinstance(value, np.ndarray):

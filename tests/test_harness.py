@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -220,12 +223,33 @@ class TestScenarioRuns:
                                                      rel=0.25)
 
     def test_write_results_layout(self, tmp_path):
-        rows = [AggregateRow("s", "plugin", 95.0, 0.0123456, 0.012, 100, 1.5)]
-        write_results(rows, {}, tmp_path, {"path": "x"})
+        rows = [AggregateRow("s", "plugin", 95.0, 0.0123456, 0.012, 100, 1.5,
+                             intervals=500)]
+        write_results(rows, {}, tmp_path, {"path": "x"}, workers_used=2)
         csv = (tmp_path / "results.csv").read_text()
         assert csv.splitlines()[0] == harness.CSV_HEADER
         assert csv.splitlines()[1] == "s,plugin,95,0.0123456,0.012,100"
-        assert (tmp_path / "results.json").exists()
+        doc = json.loads((tmp_path / "results.json").read_text())
+        assert doc["workers_used"] == 2
+        assert doc["rows"][0]["intervals"] == 500
+
+    def test_coverage_se_counts_intervals(self, tmp_path):
+        # d = 3 intervals per replication: the SE is over n_sim·d of them
+        scn = small_scenario(n=1500, n_sim=6)
+        rows, _ = run_scenario(scn, workers=1)
+        write_results(rows, {}, tmp_path, {"path": "x"})
+        doc = json.loads((tmp_path / "results.json").read_text())
+        for row in doc["rows"]:
+            assert row["intervals"] == 6 * 3
+            p = row["cov_rate_pct"] / 100.0
+            assert row["cov_rate_se_pp"] == pytest.approx(
+                100.0 * np.sqrt(p * (1.0 - p) / 18), rel=1e-12)
+
+    def test_workers_capped_at_available_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert harness.effective_workers(4 * cpus) == cpus
+        assert harness.effective_workers(1) == 1
+        assert harness.effective_workers(0) == 1
 
 
 class TestHighdimScenario:
@@ -235,6 +259,8 @@ class TestHighdimScenario:
         rows, _ = harness.run_highdim_scenario(scn, workers=1)
         labels = [r.estimator for r in rows]
         assert labels == ["debiased-s0", "debiased-s0c"]
+        # one interval per coordinate in S0 (2) or its complement (10)
+        assert [r.intervals for r in rows] == [3 * 2, 3 * 10]
         for r in rows:
             assert 0.0 <= r.cov_rate <= 100.0
             assert r.avg_len > 0

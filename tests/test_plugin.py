@@ -38,26 +38,35 @@ class TestThresholdEigen:
         assert np.abs(out - out.T).max() < 1e-12
 
 
+def observe_rows(acc, start, a, r, w):
+    """One block: covariates a (m, d), ℓ′ values r and ℓ″ values w, so the
+    gradients are r·a and the Hessians w·aaᵀ."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    acc.observe(start, np.zeros_like(a), a, np.asarray(r, dtype=float),
+                np.asarray(w, dtype=float))
+
+
 class TestPluginAccumulator:
     def test_single_scalar_observation(self):
+        # g = 2, h = 3
         acc = PluginAccumulator(1, lambda_a=1.0)
-        acc.observe(1, np.zeros(1), np.array([2.0]), np.array([[3.0]]))
+        observe_rows(acc, 1, [[1.0]], [2.0], [3.0])
         assert acc.a_n[0, 0] == 3.0
         assert acc.s_n[0, 0] == 4.0
 
     def test_two_observations_hand_arithmetic(self):
+        # g = e1, e2 and h = 2·e1e1ᵀ, 2·e2e2ᵀ: A_n = I, S_n = I/2
         acc = PluginAccumulator(2, lambda_a=1.0)
-        acc.observe(1, np.zeros(2), np.array([1.0, 0.0]), np.eye(2))
-        acc.observe(2, np.zeros(2), np.array([0.0, 1.0]), np.eye(2))
+        observe_rows(acc, 1, np.eye(2), [1.0, 1.0], [2.0, 2.0])
         np.testing.assert_allclose(acc.a_n, np.eye(2))
         np.testing.assert_allclose(acc.s_n, np.eye(2) / 2)
 
     def test_identity_sandwich(self):
+        # the same pair twice, in two blocks: A_n = I, S_n = I/2
         acc = PluginAccumulator(2, lambda_a=1.0)
-        acc.observe(1, np.zeros(2), np.array([1.0, 0.0]), np.eye(2))
-        acc.observe(2, np.zeros(2), np.array([0.0, 1.0]), np.eye(2))
-        acc.observe(3, np.zeros(2), np.array([1.0, 0.0]), np.eye(2))
-        acc.observe(4, np.zeros(2), np.array([0.0, 1.0]), np.eye(2))
+        observe_rows(acc, 1, [[1.0, 0.0]], [1.0], [2.0])
+        observe_rows(acc, 2, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                     [1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
         est = acc.finalize()
         np.testing.assert_allclose(est.matrix, np.eye(2) / 2, atol=1e-12)
         assert est.estimator == "plugin"
@@ -65,23 +74,25 @@ class TestPluginAccumulator:
 
     def test_scalar_sandwich_a_twice_identity(self):
         # A_n = 2I, S_n = I  ->  estimate = I/4
+        # g = √2·e1, √2·e2 and h = 4·e1e1ᵀ, 4·e2e2ᵀ
         acc = PluginAccumulator(2, lambda_a=1.0)
-        acc.observe(1, np.zeros(2), np.array([np.sqrt(2), 0.0]), 2 * np.eye(2))
-        acc.observe(2, np.zeros(2), np.array([0.0, np.sqrt(2)]), 2 * np.eye(2))
+        observe_rows(acc, 1, np.eye(2), [np.sqrt(2)] * 2, [4.0, 4.0])
         est = acc.finalize()
         np.testing.assert_allclose(est.matrix, np.eye(2) / 4, atol=1e-12)
 
     def test_dimension_mismatch(self):
         acc = PluginAccumulator(3, lambda_a=1.0)
         with pytest.raises(ValueError):
-            acc.observe(1, np.zeros(3), np.zeros(2), np.eye(3))
+            observe_rows(acc, 1, np.zeros((2, 2)), [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            acc.observe(1, np.zeros(3), np.zeros(3), np.eye(2))
+            observe_rows(acc, 1, np.zeros((2, 3)), [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            observe_rows(acc, 1, np.zeros((2, 3)), [1.0, 1.0], [1.0])
 
     def test_requires_hessian(self):
         acc = PluginAccumulator(2, lambda_a=1.0)
         with pytest.raises(ValueError):
-            acc.observe(1, np.zeros(2), np.zeros(2), None)
+            acc.observe(1, np.zeros((1, 2)), np.ones((1, 2)), np.ones(1), None)
 
     def test_finalize_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -91,15 +102,14 @@ class TestPluginAccumulator:
         # dense recomputation from a stored trace is the oracle
         d, n = 5, 1000
         acc = PluginAccumulator(d, lambda_a=0.5)
-        grads, hessians = [], []
-        for i in range(1, n + 1):
-            g = rng.standard_normal(d)
-            m = rng.standard_normal((d, d))
-            h = 0.5 * (m + m.T)
-            grads.append(g)
-            hessians.append(h)
-            acc.observe(i, np.zeros(d), g, h)
+        a = rng.standard_normal((n, d))
+        r = rng.standard_normal(n)
+        w = rng.uniform(-1.0, 2.0, n)      # ℓ″ of a non-convex loss can be < 0
+        for start, stop in ((0, 1), (1, 337), (337, 338), (338, n)):
+            observe_rows(acc, start + 1, a[start:stop], r[start:stop], w[start:stop])
         est = acc.finalize()
+        grads = [r[i] * a[i] for i in range(n)]
+        hessians = [w[i] * np.outer(a[i], a[i]) for i in range(n)]
 
         a_n = np.mean(hessians, axis=0)
         a_n = 0.5 * (a_n + a_n.T)
@@ -115,10 +125,9 @@ class TestPluginAccumulator:
         d = 4
         lam = 0.8
         acc = PluginAccumulator(d, lambda_a=lam)
-        for i in range(1, 100):
-            a = rng.standard_normal(d)
-            h = 1e-6 * np.outer(a, a)      # nearly singular Hessian mean
-            acc.observe(i, np.zeros(d), rng.standard_normal(d), h)
+        # w = 1e-6: a nearly singular Hessian mean
+        observe_rows(acc, 1, rng.standard_normal((99, d)),
+                     rng.standard_normal(99), np.full(99, 1e-6))
         est = acc.finalize()
         s_n = acc.s_n
         bound = (2 / lam) ** 2 * np.linalg.eigvalsh(s_n).max()
@@ -127,9 +136,8 @@ class TestPluginAccumulator:
     def test_output_symmetric_psd(self, rng):
         d = 5
         acc = PluginAccumulator(d, lambda_a=1.0)
-        for i in range(1, 300):
-            a = rng.standard_normal(d)
-            acc.observe(i, np.zeros(d), rng.standard_normal(d), np.outer(a, a))
+        observe_rows(acc, 1, rng.standard_normal((299, d)),
+                     rng.standard_normal(299), np.ones(299))
         est = acc.finalize()
         assert np.abs(est.matrix - est.matrix.T).max() < 1e-14
         assert np.linalg.eigvalsh(est.matrix).min() >= -1e-12

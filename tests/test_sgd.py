@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdinf import models
+from sgdinf import models, sgd
+from sgdinf.batchmeans import BatchMeansAccumulator, make_schedule
+from sgdinf.plugin import PluginAccumulator
 from sgdinf.sgd import (
     DivergenceError,
     EstimatorSink,
@@ -22,23 +26,42 @@ def linear_model(d=5, sigma=1.0):
                             tuple(models.default_x_star(d)), sigma=sigma)
 
 
+def logistic_model(design="toeplitz", d=3):
+    return models.ModelSpec(models.ModelKind.LOGISTIC,
+                            models.DesignSpec(design, d, 0.5),
+                            (0.5, -0.2, 1.0, 0.3, -0.7)[:d])
+
+
 class RecordingSink(EstimatorSink):
-    needs_hessian = False
+    """Keeps a copy of every block the engine hands over."""
 
     def __init__(self):
-        self.calls = []
-        self.hessians = []
+        self.blocks = []
 
-    def observe(self, i, x, g, h=None):
-        self.calls.append(i)
-        self.hessians.append(h)
+    def observe(self, start, xs, a, r, w):
+        self.blocks.append((start, xs.copy(), a.copy(), r.copy(), w.copy()))
+
+    @property
+    def calls(self):
+        """Iteration numbers covered by the blocks, in the order received."""
+        return [start + j for start, xs, *_ in self.blocks
+                for j in range(len(xs))]
+
+    def stacked(self, field):
+        return np.concatenate([blk[field] for blk in self.blocks])
 
     def finalize(self):
         return None
 
 
-class HessianCountingSink(RecordingSink):
-    needs_hessian = True
+CHUNKS = (1, 7, sgd._CHUNK)
+
+
+def each_chunk(monkeypatch):
+    """Set the engine's chunk size to each of CHUNKS in turn."""
+    for size in CHUNKS:
+        monkeypatch.setattr(sgd, "_CHUNK", size)
+        yield size
 
 
 class TestStepSchedule:
@@ -88,10 +111,14 @@ class TestRun:
         run(linear_model(), 1, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
         assert sink.calls == [1]
 
-    def test_observe_order_and_count(self, rng):
-        sink = RecordingSink()
-        run(linear_model(), 250, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
-        assert sink.calls == list(range(1, 251))
+    def test_observe_order_and_count(self, rng, monkeypatch):
+        # the blocks tile 1..n: contiguous, in order, each non-empty
+        for chunk in each_chunk(monkeypatch):
+            sink = RecordingSink()
+            run(linear_model(), 250, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
+            assert sink.calls == list(range(1, 251))
+            assert all(len(xs) > 0 for _, xs, *_ in sink.blocks)
+            assert len(sink.blocks) == -(-250 // chunk)
 
     def test_deterministic_given_seed(self):
         model = linear_model()
@@ -118,25 +145,79 @@ class TestRun:
         np.testing.assert_allclose(state.x_bar, ref.mean(axis=0), atol=1e-12)
 
     def test_logistic_matches_reference_implementation(self, rng):
-        model = models.ModelSpec(models.ModelKind.LOGISTIC,
-                                 models.DesignSpec("toeplitz", 3, 0.5),
-                                 (0.5, -0.2, 1.0))
+        model = logistic_model()
         a, b = models.sample_dataset(model, 400, rng)
         trace = TraceSink(every=1)
         run(model, 400, StepSchedule(1.0, 0.5), sinks=[trace], data=(a, b))
         ref = reference_sgd_trace(model, a, b, eta=1.0, alpha=0.5)
         np.testing.assert_allclose(trace.trace, ref, atol=1e-12)
 
-    def test_hessians_computed_only_when_needed(self, rng):
-        model = linear_model()
-        plain = RecordingSink()
-        run(model, 50, StepSchedule(0.5, 0.5), sinks=[plain], rng=rng)
-        assert all(h is None for h in plain.hessians)
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("design", ["identity", "toeplitz"])
+    def test_chunked_trace_matches_reference(self, kind, design, rng,
+                                             monkeypatch):
+        # n = 1000 is no multiple of 7 or of the default chunk, and the
+        # batch boundaries (10, 40, 90, ...) straddle chunk edges
+        n = 1000
+        if kind == "linear":
+            model = models.ModelSpec(models.ModelKind.LINEAR,
+                                     models.DesignSpec(design, 5, 0.5),
+                                     tuple(models.default_x_star(5)), sigma=1.0)
+        else:
+            model = logistic_model(design, d=5)
+        a, b = models.sample_dataset(model, n, rng)
+        ref = reference_sgd_trace(model, a, b, eta=0.9, alpha=0.55)
+        for _ in each_chunk(monkeypatch):
+            trace = TraceSink(every=1)
+            bm = BatchMeansAccumulator(make_schedule(n, 9, 0.5), 5)
+            state, _ = run(model, n, StepSchedule(0.9, 0.55),
+                           sinks=[trace, bm], data=(a, b))
+            assert trace.indices == list(range(1, n + 1))
+            assert np.abs(trace.trace - ref).max() <= 1e-12
+            assert np.abs(state.x - ref[-1]).max() <= 1e-12
+            assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= 1e-12
 
-        counting = HessianCountingSink()
-        other = RecordingSink()
-        run(model, 50, StepSchedule(0.5, 0.5), sinks=[counting, other], rng=rng)
-        assert all(h is not None for h in counting.hessians)
+    def test_hessians_computed_only_when_needed(self, rng, monkeypatch):
+        # The engine hands the sinks only the scalar weights w = ℓ″(aᵀx, b)
+        # at the pre-step iterate; a d×d Hessian w·aaᵀ is formed only by a
+        # sink that needs one. ℓ″ ≡ 1 for the linear model and σ(t)σ(−t)
+        # for the logistic one; r is ℓ′.
+        for model in (linear_model(), logistic_model()):
+            for _ in each_chunk(monkeypatch):
+                sink = RecordingSink()
+                a, b = models.sample_dataset(model, 50, rng)
+                run(model, 50, StepSchedule(0.5, 0.5), sinks=[sink], data=(a, b))
+                xs = sink.stacked(1)
+                np.testing.assert_array_equal(sink.stacked(2), a)
+                pre = np.vstack([np.zeros(model.d), xs[:-1]])
+                t = np.einsum("ij,ij->i", a, pre)
+                if model.kind is models.ModelKind.LINEAR:
+                    want_r, want_w = t - b, np.ones(50)
+                else:
+                    p = 1.0 / (1.0 + np.exp(-t))
+                    want_r, want_w = -b / (1.0 + np.exp(b * t)), p * (1.0 - p)
+                np.testing.assert_allclose(sink.stacked(3), want_r, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(sink.stacked(4), want_w, rtol=0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
+           logistic=st.booleans())
+    def test_estimates_do_not_depend_on_chunk_size(self, seed, chunk_size,
+                                                   logistic):
+        n, d = 600, 3
+        model = logistic_model(d=d) if logistic else linear_model(d=d)
+        data = models.sample_dataset(model, n, np.random.default_rng(seed))
+        out = []
+        for size in (chunk_size, sgd._CHUNK):
+            sinks = [PluginAccumulator(d, lambda_a=0.1),
+                     BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sgd, "_CHUNK", size)
+                state, est = run(model, n, StepSchedule(0.7, 0.5), sinks=sinks,
+                                 data=data)
+            out.append((state.x_bar, est[0].matrix, est[1].matrix))
+        for got, want in zip(*out):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_consistency_median_over_seeds(self):
         # ||x̄_n - x*|| < 0.05 at n=1e5 (median over 20 seeds), d=5, sigma=1
@@ -148,12 +229,22 @@ class TestRun:
             errs.append(np.linalg.norm(state.x_bar - model.xs))
         assert np.median(errs) < 0.05
 
-    def test_divergence_raised_with_context(self):
+    def test_divergence_raised_with_context(self, monkeypatch):
         model = linear_model()
-        with pytest.raises(DivergenceError):
-            # eta far above the stability threshold blows up immediately
-            run(model, 3000, StepSchedule(50.0, 0.5),
-                rng=np.random.default_rng(0))
+        a, b = models.sample_dataset(model, 3000, np.random.default_rng(0))
+        # the straight loop's first iterate with a non-finite squared norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_sgd_trace(model, a, b, eta=50.0, alpha=0.5)
+            want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
+        for _ in each_chunk(monkeypatch):
+            sink = RecordingSink()
+            with pytest.raises(DivergenceError) as err:
+                # eta far above the stability threshold blows up immediately
+                run(model, 3000, StepSchedule(50.0, 0.5), sinks=[sink],
+                    data=(a, b))
+            assert err.value.iteration == want
+            # no sink ever sees a non-finite iterate
+            assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
 
     def test_finalize_errors_collected(self, rng):
         class Broken(RecordingSink):
