@@ -46,7 +46,6 @@ from .sgd import (
     StepSchedule,
     TraceSink,
     run,
-    sgd_step,
 )
 
 __all__ = [
@@ -56,7 +55,7 @@ __all__ = [
     "ModelSpec", "OracleCovariance", "grad", "hessian", "loss",
     "make_covariance", "oracle_ci_length", "oracle_covariance", "sample_point",
     "PluginAccumulator", "threshold_eigen", "DivergenceError", "EstimatorSink",
-    "SgdState", "StepSchedule", "TraceSink", "sgd_step", "run",
+    "SgdState", "StepSchedule", "TraceSink", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",
     "fit_debiased_lasso", "highdim_ci", "nodewise_fit", "nodewise_fit_all",
     "radar_lasso", "radar_solve", "tau_hat",

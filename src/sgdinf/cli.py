@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .batchmeans import ScheduleError, make_schedule
-from .harness import ConfigError, simulate, simulate_highdim
+from .harness import ConfigError, simulate
 
 
 def _add_common(sub):
@@ -27,6 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run low-dimensional coverage scenarios")
     _add_common(sim)
+    sim.set_defaults(section="scenarios")
     sim.add_argument("--fixed-design", action="store_true", default=None,
                      help="draw one covariate stream per scenario and reuse it "
                           "across replications")
@@ -34,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     hd = subs.add_parser("highdim-simulate",
                          help="run sparse-regression debiasing scenarios")
     _add_common(hd)
+    hd.set_defaults(section="highdim", fixed_design=None)
 
     rep = subs.add_parser("report", help="pretty-print a results.csv")
     rep.add_argument("--results", required=True, help="results.csv path")
@@ -61,14 +63,10 @@ def _cmd_report(path: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
+        if args.command in ("simulate", "highdim-simulate"):
             rows = simulate(args.config, args.out, workers=args.workers,
-                            seed=args.seed, fixed_design=args.fixed_design)
-            print(f"wrote {len(rows)} rows to {args.out}/results.csv")
-            return 0
-        if args.command == "highdim-simulate":
-            rows = simulate_highdim(args.config, args.out, workers=args.workers,
-                                    seed=args.seed)
+                            seed=args.seed, fixed_design=args.fixed_design,
+                            section=args.section)
             print(f"wrote {len(rows)} rows to {args.out}/results.csv")
             return 0
         if args.command == "report":
@@ -77,10 +75,7 @@ def main(argv=None) -> int:
             schedule = make_schedule(args.n, args.M, args.alpha)
             print(schedule.to_json())
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScheduleError as exc:
+    except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,23 +25,3 @@ class CovarianceEstimate:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("covariance estimate must be a square matrix")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "estimator": self.estimator,
-            "n": self.n,
-            "dim": self.dim,
-            "params": self.params,
-            "matrix": self.matrix.tolist(),
-        })
-
-    def save_csv(self, path) -> None:
-        """Row-major CSV dump with a provenance header comment."""
-        with open(path, "w") as fh:
-            fh.write(f"# estimator={self.estimator} n={self.n} dim={self.dim}\n")
-            for row in self.matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -10,18 +10,21 @@ replication index and results are reduced in index order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import yaml
 
 from . import models
 from .batchmeans import BatchMeansAccumulator, batch_count, make_schedule
-from .highdim import RadarConfig, fit_debiased_lasso
+from .highdim import (DegenerateResidualError, RadarConfig, RadarConfigError,
+                      fit_debiased_lasso)
 from .inference import confidence_interval
 from .plugin import PluginAccumulator
 from .sgd import DivergenceError, StepSchedule, run
@@ -67,6 +70,10 @@ class ScenarioConfig:
             return self.eta
         return 0.5 if self.model.kind is models.ModelKind.LINEAR else 1.0
 
+    @property
+    def labels(self) -> tuple:
+        return tuple(choice.label for choice in self.estimators)
+
 
 @dataclass
 class HighDimScenario:
@@ -85,6 +92,21 @@ class HighDimScenario:
     c_lambda: float = 1.0
     t_min: int = 8
     r1_slack: float = 1.1
+    # The model is linear, so its oracle is closed-form and draws nothing.
+    oracle_mc_samples: ClassVar[int] = 0
+    labels: ClassVar[tuple] = ("debiased-s0", "debiased-s0c")
+
+    @property
+    def model(self) -> models.ModelSpec:
+        """The sparse linear model on this scenario's design. Its x* is drawn
+        once from the scenario seed: s0 leading coordinates uniform on
+        [0, coef_max], the rest zero."""
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, _XSTAR_TAG)))
+        x_star = np.zeros(self.d)
+        x_star[:self.s0] = rng.uniform(0.0, self.coef_max, self.s0)
+        return models.ModelSpec(
+            models.ModelKind.LINEAR, models.DesignSpec(self.design, self.d, self.rho),
+            tuple(x_star), sigma=self.sigma)
 
 
 @dataclass
@@ -106,7 +128,29 @@ class AggregateRow:
 CSV_HEADER = "scenario,estimator,cov_rate_pct,avg_len,oracle_len,n_sim"
 
 
+# Every key a config may set, by where it appears.
+_TOP_KEYS = {"workers", "scenarios", "highdim"}
+_SCENARIO_KEYS = {"id", "model", "n", "n_sim", "seed", "alpha", "eta", "q",
+                  "estimators", "fixed_design", "oracle_mc_samples"}
+_MODEL_KEYS = {"kind", "design", "d", "rho", "x_star", "sigma"}
+_ESTIMATOR_KEYS = {"plugin", "batch_means", "oracle"}
+_HIGHDIM_KEYS = {"id", "n", "d", "s0", "seed", "n_sim", "coef_max", "design",
+                 "rho", "sigma", "q", "c_epoch", "c_lambda", "t_min", "r1_slack"}
+
+
+def _check_keys(cfg, allowed: set, where: str) -> dict:
+    """The mapping `cfg`, after checking that it sets only `allowed` keys."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(str(k) for k in cfg if k not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)} in {where} "
+                          f"(allowed: {', '.join(sorted(allowed))})")
+    return cfg
+
+
 def _parse_estimators(cfg: dict) -> tuple:
+    _check_keys(cfg, _ESTIMATOR_KEYS, "estimators")
     choices = []
     if cfg.get("plugin", False):
         choices.append(EstimatorChoice("plugin"))
@@ -120,8 +164,8 @@ def _parse_estimators(cfg: dict) -> tuple:
 
 
 def load_config(path) -> dict:
-    """Parse a YAML config into scenario lists; raises ConfigError with the
-    offending path/field."""
+    """Parse a YAML config into scenario lists; raises ConfigError naming
+    the file and the offending field, also for a key it does not know."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -131,10 +175,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
+    _check_keys(raw, _TOP_KEYS, f"config file {path}")
     out = {"scenarios": [], "highdim": [], "workers": int(raw.get("workers", 1))}
     for i, scn in enumerate(raw.get("scenarios", []) or []):
         try:
-            model = models.ModelSpec.from_config(scn["model"])
+            _check_keys(scn, _SCENARIO_KEYS, "scenario")
+            model = models.ModelSpec.from_config(
+                _check_keys(scn["model"], _MODEL_KEYS, "model"))
             out["scenarios"].append(ScenarioConfig(
                 scenario_id=str(scn["id"]),
                 model=model,
@@ -152,6 +199,7 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}: scenarios[{i}]: {exc}")
     for i, scn in enumerate(raw.get("highdim", []) or []):
         try:
+            _check_keys(scn, _HIGHDIM_KEYS, "highdim entry")
             out["highdim"].append(HighDimScenario(
                 scenario_id=str(scn["id"]),
                 n=int(scn["n"]),
@@ -185,23 +233,18 @@ class OracleBundle:
     lengths: np.ndarray
 
 
-def make_oracle_bundle(scn: ScenarioConfig) -> OracleBundle:
-    from .inference import z_quantile
+def make_oracle_bundle(scn) -> OracleBundle:
+    """The oracle quantities of a scenario's model, low- or high-dimensional,
+    from models.oracle_covariance: for the linear model σ²Σ⁻¹ in closed
+    form, for logistic the inverse of a seeded Monte-Carlo Hessian."""
     model = scn.model
-    if model.kind is models.ModelKind.LINEAR:
-        a_matrix = models.make_covariance(model.design)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, _ORACLE_TAG)))
-        a_matrix = models.population_hessian(model, scn.oracle_mc_samples, rng)
-    lambda_a = float(np.linalg.eigvalsh(a_matrix).min())
-    if model.kind is models.ModelKind.LINEAR:
-        cov = model.sigma ** 2 * np.linalg.inv(a_matrix)
-    else:
-        cov = np.linalg.inv(a_matrix)
-    cov = 0.5 * (cov + cov.T)
-    z = z_quantile(1.0 - scn.q / 2.0)
-    lengths = 2.0 * z * np.sqrt(np.diag(cov) / scn.n)
-    return OracleBundle(matrix=cov, lambda_a=lambda_a, lengths=lengths)
+    rng = np.random.default_rng(np.random.SeedSequence((scn.seed, _ORACLE_TAG)))
+    oracle = models.oracle_covariance(model, scn.oracle_mc_samples, rng)
+    lengths = np.array([models.oracle_ci_length(oracle, j, scn.n, scn.q)
+                        for j in range(model.d)])
+    return OracleBundle(matrix=oracle.matrix,
+                        lambda_a=float(np.linalg.eigvalsh(oracle.hessian).min()),
+                        lengths=lengths)
 
 
 @dataclass
@@ -225,41 +268,74 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
         covariates, _ = models.sample_dataset(model, scn.n, design_rng)
     data = models.sample_dataset(model, scn.n, rng, covariates=covariates)
 
-    sinks = []
-    sink_for = {}
+    sinks = {}
     for choice in scn.estimators:
         if choice.kind == "plugin":
-            s = PluginAccumulator(model.d, lambda_a=oracle.lambda_a)
+            sinks[choice.label] = PluginAccumulator(model.d, lambda_a=oracle.lambda_a)
         elif choice.kind == "bm":
             schedule = make_schedule(scn.n, batch_count(scn.n, choice.c), scn.alpha)
-            s = BatchMeansAccumulator(schedule, model.d)
-        else:
-            continue
-        sinks.append(s)
-        sink_for[choice.label] = s
+            sinks[choice.label] = BatchMeansAccumulator(schedule, model.d)
 
     schedule = StepSchedule(eta=scn.resolved_eta, alpha=scn.alpha)
     try:
-        state, estimates = run(model, scn.n, schedule, sinks=sinks, data=data)
+        state, estimates = run(model, scn.n, schedule, sinks=list(sinks.values()),
+                               data=data)
     except DivergenceError as exc:
         return ReplicationResult(index=rep_index, ok=False, error=str(exc))
 
-    by_sink = dict(zip(sinks, estimates))
-    truth = model.xs
+    covs = dict(zip(sinks, estimates), oracle=oracle.matrix)
     result = ReplicationResult(index=rep_index, ok=True)
-    for choice in scn.estimators:
-        if choice.kind == "oracle":
-            cov = oracle.matrix
-        else:
-            cov = by_sink[sink_for[choice.label]]
-        report = confidence_interval(state.x_bar, cov, scn.n, scn.q, truth=truth)
-        result.hits[choice.label] = report.hits.copy()
-        result.lengths[choice.label] = report.lengths.copy()
+    for label in scn.labels:
+        report = confidence_interval(state.x_bar, covs[label], scn.n, scn.q,
+                                     truth=model.xs)
+        result.hits[label] = report.hits
+        result.lengths[label] = report.lengths
     return result
 
 
-def _rep_job(args):
-    return run_replication(*args)
+def _nodewise_truth(design: models.DesignSpec):
+    """(r1 rows, sparsity rows) for node-wise fits from the true precision:
+    gamma_j = -Omega_{j,-j} / Omega_jj."""
+    omega = np.linalg.inv(models.make_covariance(design))
+    gamma = -omega / np.diag(omega)[:, None]
+    np.fill_diagonal(gamma, 0.0)
+    return np.abs(gamma).sum(axis=1), (np.abs(gamma) > 1e-12).sum(axis=1)
+
+
+def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
+                            rep_index: int,
+                            rep_seed: np.random.SeedSequence) -> ReplicationResult:
+    """One draw of (D, b) from the sparse model and its debiased intervals,
+    split into the active set S0 and its complement."""
+    model = scn.model
+    design, b = models.sample_dataset(model, scn.n, np.random.default_rng(rep_seed))
+    node_r1, node_s = _nodewise_truth(model.design)
+    try:
+        main_cfg = RadarConfig(
+            r1=scn.r1_slack * float(np.abs(model.xs).sum()), s_bound=scn.s0,
+            total_n=scn.n, c_epoch=scn.c_epoch, c_lambda=scn.c_lambda,
+            t_min=scn.t_min)
+        node_cfg = RadarConfig(
+            r1=scn.r1_slack * float(np.max(node_r1)),
+            s_bound=int(np.max(node_s)), total_n=scn.n, c_epoch=scn.c_epoch,
+            c_lambda=scn.c_lambda, t_min=scn.t_min)
+        fit = fit_debiased_lasso(
+            design, b, main_cfg, node_cfg, scn.sigma, scn.q, truth=model.xs,
+            node_r1_rows=scn.r1_slack * node_r1, node_s_rows=node_s)
+    except (DegenerateResidualError, RadarConfigError) as exc:
+        return ReplicationResult(index=rep_index, ok=False, error=str(exc))
+    active = np.arange(scn.d) < scn.s0
+    report = fit.report
+    s0, s0c = scn.labels
+    return ReplicationResult(
+        index=rep_index, ok=True,
+        hits={s0: report.hits[active], s0c: report.hits[~active]},
+        lengths={s0: report.lengths[active], s0c: report.lengths[~active]})
+
+
+def _call(job):
+    replicate, *args = job
+    return replicate(*args)
 
 
 def effective_workers(requested: int) -> int:
@@ -276,17 +352,15 @@ def _map_jobs(job, jobs, workers: int):
         return list(pool.map(job, jobs, chunksize=1))
 
 
-def aggregate(scn: ScenarioConfig, oracle: OracleBundle,
-              results: list, wall_time: float) -> list:
-    """Reduce replication results (in index order) to one row per estimator."""
+def aggregate(scn, oracle: OracleBundle, results: list, wall_time: float) -> list:
+    """Reduce replication results (in index order) to one row per label."""
     results = sorted(results, key=lambda r: r.index)
     ok = [r for r in results if r.ok]
     if not ok:
         raise RuntimeError(f"scenario {scn.scenario_id}: no successful replications")
     rows = []
     oracle_len = float(oracle.lengths.mean())
-    for choice in scn.estimators:
-        label = choice.label
+    for label in scn.labels:
         hits = np.concatenate([r.hits[label] for r in ok])
         lens = np.concatenate([r.lengths[label] for r in ok])
         rows.append(AggregateRow(
@@ -301,114 +375,23 @@ def aggregate(scn: ScenarioConfig, oracle: OracleBundle,
     return rows
 
 
-def run_scenario(scn: ScenarioConfig, workers: int = 1):
-    """All replications of one scenario; returns (rows, failures)."""
+def run_scenario(scn, workers: int = 1):
+    """All replications of one scenario, low- or high-dimensional; returns
+    (rows, failures), with the (index, error) of every failed replication.
+
+    Replication i draws from the i-th seed spawned from the scenario seed,
+    and results are reduced in index order, so the rows do not depend on
+    the worker count.
+    """
+    replicate = (run_highdim_replication if isinstance(scn, HighDimScenario)
+                 else run_replication)
     t0 = time.monotonic()
     oracle = make_oracle_bundle(scn)
     children = np.random.SeedSequence(scn.seed).spawn(scn.n_sim)
-    jobs = [(scn, oracle, i, children[i]) for i in range(scn.n_sim)]
-    results = _map_jobs(_rep_job, jobs, workers)
-    wall = time.monotonic() - t0
-    rows = aggregate(scn, oracle, results, wall)
-    failures = [(r.index, r.error) for r in results if not r.ok]
-    return rows, failures
-
-
-# --- high-dimensional scenarios ---------------------------------------------
-
-def _highdim_truth(scn: HighDimScenario) -> np.ndarray:
-    """Fixed realization of the sparse coefficient vector for a scenario."""
-    rng = np.random.default_rng(np.random.SeedSequence((scn.seed, _XSTAR_TAG)))
-    x = np.zeros(scn.d)
-    x[:scn.s0] = rng.uniform(0.0, scn.coef_max, scn.s0)
-    return x
-
-
-def _highdim_design_spec(scn: HighDimScenario) -> models.DesignSpec:
-    return models.DesignSpec(kind=scn.design, d=scn.d, rho=scn.rho)
-
-
-def _nodewise_truth(design: models.DesignSpec):
-    """(r1 rows, sparsity rows) for node-wise fits from the true precision."""
-    omega = np.linalg.inv(models.make_covariance(design))
-    d = design.d
-    r1 = np.empty(d)
-    s_rows = np.empty(d, dtype=int)
-    for j in range(d):
-        gamma = -np.delete(omega[j], j) / omega[j, j]
-        r1[j] = np.abs(gamma).sum()
-        s_rows[j] = int((np.abs(gamma) > 1e-12).sum())
-    return r1, s_rows
-
-
-def run_highdim_replication(scn: HighDimScenario, x_star: np.ndarray,
-                            node_r1, node_s, rep_index: int,
-                            rep_seed: np.random.SeedSequence) -> ReplicationResult:
-    rng = np.random.default_rng(rep_seed)
-    spec = _highdim_design_spec(scn)
-    z = rng.standard_normal((scn.n, scn.d))
-    if spec.kind is models.DesignKind.IDENTITY:
-        design = z
-    else:
-        design = z @ np.linalg.cholesky(models.make_covariance(spec)).T
-    b = design @ x_star + scn.sigma * rng.standard_normal(scn.n)
-
-    main_cfg = RadarConfig(
-        r1=scn.r1_slack * float(np.abs(x_star).sum()), s_bound=scn.s0,
-        total_n=scn.n, c_epoch=scn.c_epoch, c_lambda=scn.c_lambda,
-        t_min=scn.t_min)
-    node_cfg = RadarConfig(
-        r1=scn.r1_slack * float(np.max(node_r1)),
-        s_bound=int(np.max(node_s)), total_n=scn.n, c_epoch=scn.c_epoch,
-        c_lambda=scn.c_lambda, t_min=scn.t_min)
-
-    fit = fit_debiased_lasso(
-        design, b, main_cfg, node_cfg, scn.sigma, scn.q, truth=x_star,
-        node_r1_rows=scn.r1_slack * node_r1, node_s_rows=node_s)
-
-    active = np.zeros(scn.d, dtype=bool)
-    active[:scn.s0] = True
-    report = fit.report
-    return ReplicationResult(
-        index=rep_index, ok=True,
-        hits={"debiased-s0": report.hits[active].copy(),
-              "debiased-s0c": report.hits[~active].copy()},
-        lengths={"debiased-s0": report.lengths[active].copy(),
-                 "debiased-s0c": report.lengths[~active].copy()})
-
-
-def _highdim_job(args):
-    return run_highdim_replication(*args)
-
-
-def run_highdim_scenario(scn: HighDimScenario, workers: int = 1):
-    from .inference import z_quantile
-    t0 = time.monotonic()
-    x_star = _highdim_truth(scn)
-    spec = _highdim_design_spec(scn)
-    node_r1, node_s = _nodewise_truth(spec)
-    children = np.random.SeedSequence(scn.seed).spawn(scn.n_sim)
-    jobs = [(scn, x_star, node_r1, node_s, i, children[i])
-            for i in range(scn.n_sim)]
-    results = _map_jobs(_highdim_job, jobs, workers)
-    wall = time.monotonic() - t0
-    results = sorted(results, key=lambda r: r.index)
-    ok = [r for r in results if r.ok]
-    if not ok:
-        raise RuntimeError(f"scenario {scn.scenario_id}: no successful replications")
-    sigma_inv = np.linalg.inv(models.make_covariance(spec))
-    z = z_quantile(1.0 - scn.q / 2.0)
-    oracle_len = float(np.mean(2.0 * z * scn.sigma * np.sqrt(np.diag(sigma_inv) / scn.n)))
-    rows = []
-    for label in ("debiased-s0", "debiased-s0c"):
-        hits = np.concatenate([r.hits[label] for r in ok])
-        lens = np.concatenate([r.lengths[label] for r in ok])
-        rows.append(AggregateRow(
-            scenario=scn.scenario_id, estimator=label,
-            cov_rate=100.0 * float(hits.mean()), avg_len=float(lens.mean()),
-            oracle_len=oracle_len, n_sim=len(ok), wall_time=wall,
-            intervals=hits.size))
-    return rows, []
+    jobs = [(replicate, scn, oracle, i, children[i]) for i in range(scn.n_sim)]
+    results = _map_jobs(_call, jobs, workers)
+    rows = aggregate(scn, oracle, results, time.monotonic() - t0)
+    return rows, [(r.index, r.error) for r in results if not r.ok]
 
 
 # --- output ------------------------------------------------------------------
@@ -444,43 +427,30 @@ def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
         json.dump(doc, fh, indent=2)
 
 
-def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None):
-    """Run every low-dimensional scenario in a config file."""
+def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
+             section="scenarios"):
+    """Run every scenario of one section of a config file: "scenarios" (the
+    low-dimensional ones; `fixed_design` applies to these) or "highdim".
+    Writes results.csv and results.json to out_dir and returns the rows."""
     cfg = load_config(config_path)
-    if not cfg["scenarios"]:
-        raise ConfigError(f"{config_path}: no 'scenarios' section")
+    if not cfg[section]:
+        raise ConfigError(f"{config_path}: no '{section}' section")
     workers = workers if workers is not None else cfg["workers"]
+    overrides = {}
+    if seed is not None:
+        overrides["seed"] = int(seed)
+    if fixed_design is not None:
+        overrides["fixed_design"] = bool(fixed_design)
     all_rows, failures = [], {}
-    for scn in cfg["scenarios"]:
-        if seed is not None:
-            scn.seed = int(seed)
-        if fixed_design is not None:
-            scn.fixed_design = bool(fixed_design)
-        rows, fails = run_scenario(scn, workers=workers)
+    for scn in cfg[section]:
+        rows, fails = run_scenario(dataclasses.replace(scn, **overrides),
+                                   workers=workers)
         all_rows.extend(rows)
         if fails:
             failures[scn.scenario_id] = fails
-    write_results(all_rows, failures, out_dir,
-                  {"path": str(config_path), "workers": workers,
-                   "seed_override": seed, "fixed_design": fixed_design},
-                  workers_used=effective_workers(workers))
-    return all_rows
-
-
-def simulate_highdim(config_path, out_dir, workers=None, seed=None):
-    """Run every high-dimensional scenario in a config file."""
-    cfg = load_config(config_path)
-    if not cfg["highdim"]:
-        raise ConfigError(f"{config_path}: no 'highdim' section")
-    workers = workers if workers is not None else cfg["workers"]
-    all_rows = []
-    for scn in cfg["highdim"]:
-        if seed is not None:
-            scn.seed = int(seed)
-        rows, _ = run_highdim_scenario(scn, workers=workers)
-        all_rows.extend(rows)
-    write_results(all_rows, {}, out_dir,
-                  {"path": str(config_path), "workers": workers,
-                   "seed_override": seed},
+    echo = {"path": str(config_path), "workers": workers, "seed_override": seed}
+    if section == "scenarios":
+        echo["fixed_design"] = fixed_design
+    write_results(all_rows, failures, out_dir, echo,
                   workers_used=effective_workers(workers))
     return all_rows

@@ -19,6 +19,7 @@ strength of every sample seen so far.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,13 @@ class DegenerateResidualError(RuntimeError):
 
 
 SQRT2 = math.sqrt(2.0)
+# Proximal-gradient sweeps closing each epoch, the cap on the number of
+# epochs, and the step size, relative to a row's largest entry, below which
+# a row stops sweeping.
+INNER_ITERS = 120
+MAX_EPOCHS = 40
+TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def lp_geometry(dim: int):
@@ -46,26 +54,18 @@ def lp_geometry(dim: int):
     return p, q
 
 
-def pball_norm(u: np.ndarray, p: float) -> float:
-    m = np.abs(u).max()
-    if m == 0.0:
-        return 0.0
-    w = np.abs(u) / m
-    return float(m * (w ** p).sum() ** (1.0 / p))
-
-
-def pball_project(u: np.ndarray, radius: float, p: float) -> np.ndarray:
-    """Radial scaling of an offset onto the p-ball of a given radius."""
-    if radius <= 0.0:
-        return np.zeros_like(u)
-    norm = pball_norm(u, p)
-    if norm > radius:
-        return u * (radius / norm)
-    return u
+def pball_norm(u: np.ndarray, p: float):
+    """p-norm along the last axis, taken after scaling by the largest entry
+    so the power cannot overflow."""
+    a = np.abs(u)
+    m = a.max(axis=-1, keepdims=True)
+    w = a / np.maximum(m, _TINY)         # a zero row stays zero
+    return (m * (w ** p).sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
 
 def soft_threshold(z: np.ndarray, thr) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - thr, 0.0)
+    """sign(z)·max(|z| − thr, 0), as z minus its clip to [−thr, thr]."""
+    return z - np.minimum(np.maximum(z, -thr), thr)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class RadarConfig:
     r1 bounds ||x* - y_1||_1 from above; s_bound is the assumed sparsity;
     total_n the sample budget. c_epoch scales the theoretical epoch length
     c_epoch*s^2*log(d)/R_i^2 and t_min floors it while radii are large;
-    c_lambda multiplies the squared-regularization rule. inner_iters caps
-    the proximal-gradient sweeps closing each epoch.
+    c_lambda multiplies the squared-regularization rule.
 
     t_min should grow with log(d) when the budget allows (around 16 for
     d in the several hundreds): radii halve every epoch regardless of
@@ -90,8 +89,6 @@ class RadarConfig:
     c_epoch: float = 1.0
     c_lambda: float = 1.0
     t_min: int = 8
-    inner_iters: int = 120
-    max_epochs: int = 40
 
     def __post_init__(self):
         if self.r1 < 0 or self.total_n < 1 or self.t_min < 1:
@@ -123,7 +120,7 @@ def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
                       math.ceil(config.c_epoch * s * s * log_d / radius ** 2))
         else:
             t_i = config.t_min
-        if used + t_i > config.total_n or len(epochs) == config.max_epochs:
+        if used + t_i > config.total_n or len(epochs) == MAX_EPOCHS:
             if not epochs:
                 raise RadarConfigError(
                     f"budget {config.total_n} cannot cover one epoch of length {t_i}")
@@ -136,83 +133,127 @@ def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
     return epochs
 
 
-def epoch_lambda(config: RadarConfig, radius: float, samples_seen: int,
-                 dim: int) -> float:
-    """lambda_i from lambda^2 = c * R_i * sqrt(log d) / (s * sqrt(T)),
-    with T the accumulated sample count feeding the epoch's solve."""
-    log_d = max(math.log(max(dim, 2)), 1.0)
-    s = max(config.s_bound, 1)
-    lam2 = config.c_lambda * radius * math.sqrt(log_d) / (s * math.sqrt(samples_seen))
-    return math.sqrt(max(lam2, 0.0))
-
-
-def _prox_gradient_ball(gram, rhs, y, radius, lam, p, n_iters, on_step=None,
-                        epoch=None, tol=1e-10):
-    """Approximately minimize 1/2 x'Gx - r'x + lam|x|_1 over the p-ball
-    around y by ISTA sweeps with radial feasibility projection."""
-    lip = float(np.linalg.eigvalsh(gram).max())
-    if lip <= 0.0:
-        return y.copy()
-    x = y.copy()
-    for _ in range(n_iters):
-        z = x - (gram @ x - rhs) / lip
-        u = pball_project(soft_threshold(z, lam / lip) - y, radius, p)
-        x_new = y + u
-        if on_step is not None:
-            on_step(epoch, x_new, y)
-        delta = float(np.abs(x_new - x).max())
-        x = x_new
-        if delta < tol * max(1.0, float(np.abs(x).max())):
-            break
-    return x
-
-
-def radar_solve(covariates: np.ndarray, targets: np.ndarray,
-                config: RadarConfig, y1=None, on_epoch=None,
+def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
+                r1_rows=None, s_rows=None, fixed=None, on_epoch=None,
                 on_step=None) -> np.ndarray:
-    """Multi-epoch annealed l1 solver over a least-squares sample stream.
+    """Multi-epoch annealed l1 solver for K rows sharing one Gram matrix.
 
-    `covariates`/`targets` are the stream in arrival order; exactly
-    config.total_n rows are consumed. Returns the final prox center.
+    D (n, d) is the covariate stream in arrival order and column k of
+    `targets` (n, K) is row k's response; exactly config.total_n samples
+    are consumed. At the end of each epoch row k approximately minimizes
+    1/2 x'Gx - c_k'x + lam_k|x|_1, with G and c_k the running means of aa'
+    and a*targets[:, k], over the p-ball of radius R_k around its previous
+    center, by ISTA sweeps with radial feasibility projection. Epoch
+    lengths follow `config`; radii (default config.r1) and sparsities
+    (default config.s_bound) are per row, with
+    lam_k^2 = c_lambda * R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
+
+    fixed[k], when given, is a coordinate of row k held at zero; the ball
+    geometry is then that of the d-1 free coordinates. A row of radius 0
+    stays at its center, and a row stops sweeping once its step falls
+    below TOL, so no row's path depends on the other rows. on_epoch(epoch,
+    y) sees the (K, d) centers after each epoch; on_step(epoch, x, y) the
+    new iterates and the centers of the rows still sweeping. Returns the
+    final centers.
     """
-    n, d = covariates.shape
+    n, d = D.shape
     if config.total_n > n:
         raise RadarConfigError("sample stream shorter than the iteration budget")
-    p, _ = lp_geometry(d)
-    epochs = epoch_plan(config, d)
-    y = np.zeros(d) if y1 is None else np.asarray(y1, dtype=float).copy()
+    k = targets.shape[1]
+    radii = np.full(k, config.r1) if r1_rows is None else np.asarray(r1_rows, float)
+    s_rows = np.full(k, config.s_bound) if s_rows is None else s_rows
+    s_rows = np.maximum(np.asarray(s_rows, dtype=float), 1.0)
+    if fixed is not None:
+        fixed = np.asarray(fixed)
+    dim = d if fixed is None else d - 1
+    p, _ = lp_geometry(dim)
+    log_d = max(math.log(max(dim, 2)), 1.0)
+
+    y = np.zeros((k, d))
     gram_sum = np.zeros((d, d))
-    cross_sum = np.zeros(d)
-    row = 0
-    for ep in epochs:
-        block = covariates[row:row + ep.length]
-        tgt = targets[row:row + ep.length]
-        row += ep.length
+    cross_sum = np.zeros((d, k))
+    seen = 0
+    for ep in epoch_plan(config, dim):
+        block = D[seen:seen + ep.length]
         gram_sum += block.T @ block
-        cross_sum += block.T @ tgt
-        seen = row
-        lam = epoch_lambda(config, ep.radius, seen, d)
-        y = _prox_gradient_ball(gram_sum / seen, cross_sum / seen, y, ep.radius,
-                                lam, p, config.inner_iters, on_step=on_step,
-                                epoch=ep)
+        cross_sum += block.T @ targets[seen:seen + ep.length]
+        seen += ep.length
+        live = np.flatnonzero(radii > 0.0)
+        if live.size:
+            gram = gram_sum / seen
+            lip = float(np.linalg.eigvalsh(gram).max())
+            if lip > 0.0:
+                lam = np.sqrt(config.c_lambda * radii[live] * math.sqrt(log_d)
+                              / (s_rows[live] * math.sqrt(seen)))
+                _sweep(y, live, gram, lip, cross_sum.T[live] / seen,
+                       lam[:, None] / lip, radii[live], fixed, p, ep, on_step)
         if on_epoch is not None:
             on_epoch(ep, y)
+        radii = radii / SQRT2
     return y
+
+
+def _sweep(y, live, gram, lip, rhs, thr, radii, fixed, p, ep, on_step):
+    """Up to INNER_ITERS ISTA sweeps of rows `live` of y, in place."""
+    x = y[live]
+    center = x.copy()
+    cols = None if fixed is None else fixed[live]
+    rows = np.arange(len(live))
+    # |x_k|_inf <= |center_k|_inf + R_k, so a row can only have stopped
+    # once its step is below this bound (doubled for rounding); the exact
+    # test runs only then.
+    near = 2.0 * TOL * np.maximum(1.0, np.abs(center).max(axis=1) + radii)
+    with np.errstate(divide="ignore"):      # a zero offset has no scaling
+        for _ in range(INNER_ITERS):
+            u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
+            if cols is not None:
+                u[rows, cols] = 0.0
+            u -= center
+            u *= np.minimum(1.0, radii / pball_norm(u, p))[:, None]
+            x_new = center + u
+            if on_step is not None:
+                on_step(ep, x_new, center)
+            step = np.abs(x_new - x).max(axis=1)
+            x = x_new
+            if not (step < near).any():
+                continue
+            done = step < TOL * np.maximum(1.0, np.abs(x).max(axis=1))
+            if done.any():
+                y[live[done]] = x[done]
+                keep = ~done
+                live, x, center, rhs, thr, radii, near = (
+                    live[keep], x[keep], center[keep], rhs[keep], thr[keep],
+                    radii[keep], near[keep])
+                if not live.size:
+                    return
+                if cols is not None:
+                    cols, rows = cols[keep], rows[:live.size]
+    y[live] = x
 
 
 def radar_lasso(D: np.ndarray, b: np.ndarray, config: RadarConfig,
                 on_epoch=None, on_step=None) -> np.ndarray:
-    """Solve the l1-regularized regression of b on the rows of D."""
-    return radar_solve(D, b, config, on_epoch=on_epoch, on_step=on_step)
+    """Solve the l1-regularized regression of b on the rows of D: the
+    solver with one row, whose callbacks see 1-D vectors."""
+    epoch_cb = step_cb = None
+    if on_epoch is not None:
+        def epoch_cb(ep, y):
+            on_epoch(ep, y[0])
+    if on_step is not None:
+        def step_cb(ep, x, y):
+            on_step(ep, x[0], y[0])
+    b = np.asarray(b, dtype=float)
+    return radar_solve(D, b[:, None], config, on_epoch=epoch_cb,
+                       on_step=step_cb)[0]
 
 
 def nodewise_fit(j: int, D: np.ndarray, config: RadarConfig) -> np.ndarray:
     """Node-wise regression of column j on the others, one stream pass.
 
     Targets (gamma^j)* = -Omega_jj^{-1} (Omega_{j,-j})^T; returns a length
-    d-1 coefficient vector.
+    d-1 coefficient vector, equal to row j of nodewise_fit_all.
     """
-    return radar_solve(np.delete(D, j, axis=1), D[:, j], config)
+    return np.delete(radar_solve(D, D[:, [j]], config, fixed=[j])[0], j)
 
 
 def nodewise_fit_all(D: np.ndarray, config: RadarConfig,
@@ -224,70 +265,13 @@ def nodewise_fit_all(D: np.ndarray, config: RadarConfig,
     planned from the largest per-row radius/sparsity so the rows share
     sample blocks; radii and regularization stay per-row.
     """
-    n, d = D.shape
-    if config.total_n > n:
-        raise RadarConfigError("sample stream shorter than the iteration budget")
-    if r1_rows is None:
-        r1_rows = np.full(d, config.r1, dtype=float)
-    else:
-        r1_rows = np.asarray(r1_rows, dtype=float)
-    if s_rows is None:
-        s_rows = np.full(d, max(config.s_bound, 1))
-    s_rows = np.maximum(np.asarray(s_rows, dtype=float), 1.0)
-
-    p, _ = lp_geometry(d - 1)
-    log_d = max(math.log(max(d - 1, 2)), 1.0)
-    plan_cfg = RadarConfig(
-        r1=float(r1_rows.max()), s_bound=int(s_rows.max()),
-        total_n=config.total_n, c_epoch=config.c_epoch,
-        c_lambda=config.c_lambda, t_min=config.t_min,
-        inner_iters=config.inner_iters, max_epochs=config.max_epochs)
-    epochs = epoch_plan(plan_cfg, d - 1)
-
-    radii = r1_rows.copy()
-    y = np.zeros((d, d))          # row j: gamma^j embedded, zero at column j
-    gram_sum = np.zeros((d, d))
-    row = 0
-    for ep in epochs:
-        block = D[row:row + ep.length]
-        row += ep.length
-        gram_sum += block.T @ block
-        gram = gram_sum / row
-        lam_rows = np.sqrt(config.c_lambda * radii * math.sqrt(log_d)
-                           / (s_rows * math.sqrt(row)))
-        lip = float(np.linalg.eigvalsh(gram).max())
-        x = y.copy()
-        for _ in range(config.inner_iters):
-            grad = x @ gram - gram     # row j: gradient of its own objective
-            z = x - grad / lip
-            xc = soft_threshold(z, lam_rows[:, None] / lip)
-            np.fill_diagonal(xc, 0.0)
-            u = xc - y
-            norms = _rows_pnorm(u, p)
-            over = norms > radii
-            scale = np.ones(d)
-            np.divide(radii, norms, out=scale, where=over)
-            u *= scale[:, None]
-            u[radii <= 0.0] = 0.0
-            x_new = y + u
-            if np.abs(x_new - x).max() < 1e-10:
-                x = x_new
-                break
-            x = x_new
-        y = x
-        radii = radii / SQRT2
-
-    gammas = np.empty((d, d - 1))
-    for j in range(d):
-        gammas[j] = np.delete(y[j], j)
-    return gammas
-
-
-def _rows_pnorm(u: np.ndarray, p: float) -> np.ndarray:
-    m = np.abs(u).max(axis=1)
-    safe = np.where(m > 0, m, 1.0)
-    w = np.abs(u) / safe[:, None]
-    return m * (w ** p).sum(axis=1) ** (1.0 / p)
+    d = D.shape[1]
+    r1_rows = np.full(d, config.r1) if r1_rows is None else np.asarray(r1_rows, float)
+    s_rows = np.full(d, config.s_bound) if s_rows is None else np.asarray(s_rows)
+    plan = dataclasses.replace(config, r1=float(r1_rows.max()),
+                               s_bound=int(s_rows.max()))
+    y = radar_solve(D, D, plan, r1_rows, s_rows, fixed=np.arange(d))
+    return y[~np.eye(d, dtype=bool)].reshape(d, d - 1)
 
 
 def tau_hat(j: int, D: np.ndarray, gamma_j: np.ndarray) -> float:
@@ -312,15 +296,6 @@ class PrecisionEstimate:
     @property
     def dim(self) -> int:
         return self.omega.shape[0]
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps({"tau": self.tau.tolist(),
-                           "gamma": self.gamma.tolist(),
-                           "omega": self.omega.tolist()})
-
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.omega, delimiter=",", fmt="%.17g")
 
 
 def build_omega(gammas: np.ndarray, taus: np.ndarray) -> PrecisionEstimate:
@@ -356,17 +331,6 @@ def highdim_ci(x_d: np.ndarray, omega, D: np.ndarray, sigma: float, q: float,
     z = z_quantile(1.0 - q / 2.0)
     half = z * sigma * np.sqrt(np.maximum(np.diag(quad), 0.0) / n)
     return CiReport(q=q, center=np.asarray(x_d, float), half_width=half, truth=truth)
-
-
-def load_design_csv(path):
-    """Read a design/response CSV with columns a_1..a_d,b (header optional)."""
-    try:
-        raw = np.loadtxt(path, delimiter=",")
-    except ValueError:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    if raw.ndim == 1:
-        raw = raw[None, :]
-    return raw[:, :-1], raw[:, -1]
 
 
 @dataclass

@@ -6,65 +6,25 @@ from any thread.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 class EstimatorCorruptionError(ValueError):
     """A covariance estimate carried a materially negative diagonal entry."""
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / SQRT2)
-
-
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational minimax approximation to the inverse normal CDF
-# (relative error ~1.15e-9; one Newton step below pushes it to ~1e-15).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def z_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to well below 1e-8.
-
-    Raises ValueError outside the open interval (0, 1).
-    """
+    """Inverse standard normal CDF (statistics.NormalDist, AS241 to about
+    1e-16). Raises ValueError outside the open interval (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # One Newton refinement on the CDF.
-    err = normal_cdf(x) - p
-    x -= err / normal_pdf(x)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass
@@ -100,42 +60,11 @@ class CiReport:
     def lengths(self) -> np.ndarray:
         return 2.0 * self.half_width
 
-    def to_json(self) -> str:
-        doc = {
-            "q": self.q,
-            "center": self.center.tolist(),
-            "half_width": self.half_width.tolist(),
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-        }
-        if self.truth is not None:
-            doc["truth"] = self.truth.tolist()
-            doc["hits"] = [bool(h) for h in self.hits]
-        return json.dumps(doc)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = "coordinate,center,half_width,lower,upper"
-            if self.truth is not None:
-                cols += ",truth,hit"
-            fh.write(cols + "\n")
-            for j in range(self.center.size):
-                row = (f"{j},{self.center[j]:.10g},{self.half_width[j]:.10g},"
-                       f"{self.lower[j]:.10g},{self.upper[j]:.10g}")
-                if self.truth is not None:
-                    row += f",{self.truth[j]:.10g},{int(self.hits[j])}"
-                fh.write(row + "\n")
-
-
-def _cov_matrix(cov) -> np.ndarray:
-    matrix = getattr(cov, "matrix", cov)
-    return np.asarray(matrix, dtype=float)
-
 
 def confidence_interval(x_bar, cov, n: int, q: float, truth=None) -> CiReport:
     """Intervals x̄_j ± z_{q/2}·sqrt(max(cov_jj, 0)/n) for every coordinate."""
     x_bar = np.asarray(x_bar, dtype=float)
-    matrix = _cov_matrix(cov)
+    matrix = np.asarray(getattr(cov, "matrix", cov), dtype=float)
     if matrix.shape != (x_bar.size, x_bar.size):
         raise ValueError("covariance dimension does not match x_bar")
     if n < 1:
@@ -158,5 +87,5 @@ def z_test(x_bar_j: float, cov_jj: float, n: int, null_value: float = 0.0):
     if cov_jj <= 0:
         raise ValueError(f"variance must be positive, got {cov_jj}")
     z = math.sqrt(n) * (x_bar_j - null_value) / math.sqrt(cov_jj)
-    p = math.erfc(abs(z) / SQRT2)
+    p = 2.0 * _STANDARD_NORMAL.cdf(-abs(z))
     return z, p

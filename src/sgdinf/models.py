@@ -208,41 +208,28 @@ def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
     return a, b
 
 
-# Per-sample loss, gradient and Hessian. The array-argument kernels are the
-# hot path used by the SGD loop; the DataPoint wrappers are the public
-# single-point surface.
-
-def loss_ab(model: ModelSpec, x: np.ndarray, a: np.ndarray, b: float) -> float:
-    if model.kind is ModelKind.LINEAR:
-        r = a @ x - b
-        return 0.5 * r * r
-    return float(np.logaddexp(0.0, -b * (a @ x)))
-
-
-def grad_ab(model: ModelSpec, x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    if model.kind is ModelKind.LINEAR:
-        return (a @ x - b) * a
-    return (-sigmoid(-b * (a @ x)) * b) * a
-
-
-def hessian_ab(model: ModelSpec, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if model.kind is ModelKind.LINEAR:
-        return np.outer(a, a)
-    t = a @ x
-    w = sigmoid(t) * sigmoid(-t)
-    return w * np.outer(a, a)
-
+# Per-sample loss, gradient and Hessian at a single data point.
 
 def loss(model: ModelSpec, x: np.ndarray, p: DataPoint) -> float:
-    return loss_ab(model, np.asarray(x, float), p.a, p.b)
+    t = p.a @ np.asarray(x, float)
+    if model.kind is ModelKind.LINEAR:
+        r = t - p.b
+        return 0.5 * r * r
+    return float(np.logaddexp(0.0, -p.b * t))
 
 
 def grad(model: ModelSpec, x: np.ndarray, p: DataPoint) -> np.ndarray:
-    return grad_ab(model, np.asarray(x, float), p.a, p.b)
+    t = p.a @ np.asarray(x, float)
+    if model.kind is ModelKind.LINEAR:
+        return (t - p.b) * p.a
+    return (-sigmoid(-p.b * t) * p.b) * p.a
 
 
 def hessian(model: ModelSpec, x: np.ndarray, p: DataPoint) -> np.ndarray:
-    return hessian_ab(model, np.asarray(x, float), p.a)
+    if model.kind is ModelKind.LINEAR:
+        return np.outer(p.a, p.a)
+    t = p.a @ np.asarray(x, float)
+    return sigmoid(t) * sigmoid(-t) * np.outer(p.a, p.a)
 
 
 class OracleMethod(str, enum.Enum):
@@ -252,18 +239,20 @@ class OracleMethod(str, enum.Enum):
 
 @dataclass
 class OracleCovariance:
-    """The true asymptotic covariance A⁻¹SA⁻¹ of √n(x̄_n − x*)."""
+    """The true asymptotic covariance A⁻¹SA⁻¹ of √n(x̄_n − x*), and the
+    population Hessian A it was formed from."""
 
     matrix: np.ndarray
     method: OracleMethod
+    hessian: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise OracleError("oracle covariance is not symmetric")
-        if np.any(np.diag(m) <= 0):
-            raise OracleError("oracle covariance has non-positive diagonal")
+        if np.any(np.diag(m) < 0):   # zero only for the noiseless linear model
+            raise OracleError("oracle covariance has a negative diagonal")
         self.matrix = m
 
 
@@ -300,17 +289,15 @@ def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
     well-specified so S = A and the sandwich collapses to Â⁻¹ with Â a
     Monte-Carlo Hessian average at x*.
     """
+    a = population_hessian(model, mc_samples=mc_samples, rng=rng)
     if model.kind is ModelKind.LINEAR:
-        sig = make_covariance(model.design)
-        matrix = model.sigma ** 2 * np.linalg.inv(sig)
-        matrix = 0.5 * (matrix + matrix.T)
-        return OracleCovariance(matrix=matrix, method=OracleMethod.CLOSED_FORM)
-    a_hat = population_hessian(model, mc_samples=mc_samples, rng=rng)
-    if np.linalg.cond(a_hat) > 1e12:
-        raise OracleError("Monte-Carlo Hessian is numerically singular")
-    matrix = np.linalg.inv(a_hat)
-    matrix = 0.5 * (matrix + matrix.T)
-    return OracleCovariance(matrix=matrix, method=OracleMethod.MONTE_CARLO_HESSIAN)
+        matrix, method = model.sigma ** 2 * np.linalg.inv(a), OracleMethod.CLOSED_FORM
+    else:
+        if np.linalg.cond(a) > 1e12:
+            raise OracleError("Monte-Carlo Hessian is numerically singular")
+        matrix, method = np.linalg.inv(a), OracleMethod.MONTE_CARLO_HESSIAN
+    return OracleCovariance(matrix=0.5 * (matrix + matrix.T), method=method,
+                            hessian=a)
 
 
 def oracle_ci_length(oracle: OracleCovariance, j: int, n: int, q: float) -> float:

@@ -50,33 +50,19 @@ class StepSchedule:
         if not 0.5 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0.5, 1), got {self.alpha}")
 
-    def step(self, i: int) -> float:
+    def step(self, i):
+        """η·i^(−α), for an iteration number or an array of them."""
         return self.eta * i ** (-self.alpha)
 
 
 @dataclass
 class SgdState:
-    """Current iterate, running average and iteration count."""
+    """Final iterate, running average and iteration count of a run."""
 
     n: int
     x: np.ndarray
     x_bar: np.ndarray
     x0: np.ndarray
-
-    @classmethod
-    def initial(cls, x0) -> "SgdState":
-        x0 = np.asarray(x0, dtype=float).copy()
-        return cls(n=0, x=x0.copy(), x_bar=np.zeros_like(x0), x0=x0)
-
-
-def sgd_step(state: SgdState, schedule: StepSchedule, g: np.ndarray) -> SgdState:
-    """One descent step plus the incremental average update (pure)."""
-    i = state.n + 1
-    x = state.x - schedule.step(i) * np.asarray(g, dtype=float)
-    if not np.isfinite(x).all():
-        raise DivergenceError(i)
-    x_bar = state.x_bar + (x - state.x_bar) / i
-    return SgdState(n=i, x=x, x_bar=x_bar, x0=state.x0)
 
 
 class EstimatorSink:
@@ -121,16 +107,6 @@ class TraceSink(EstimatorSink):
     def finalize(self):
         return None
 
-    def save_csv(self, path) -> None:
-        trace = self.trace
-        with open(path, "w") as fh:
-            fh.write("iteration," + ",".join(f"x{j}" for j in range(trace.shape[1])) + "\n")
-            for i, row in zip(self.indices, trace):
-                fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def save_npy(self, path) -> None:
-        np.save(path, self.trace)
-
 
 # Iterations per block handed to the sinks. The buffers are O(_CHUNK·d).
 _CHUNK = 4096
@@ -165,7 +141,6 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             raise ValueError("either rng or data must be provided")
         a_all, b_all = models.sample_dataset(model, n, rng)
 
-    eta, alpha = schedule.eta, schedule.alpha
     logistic = model.kind is models.ModelKind.LOGISTIC
     size = min(_CHUNK, n)
     xs_buf = np.empty((size, d))
@@ -178,7 +153,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         for start in range(1, n + 1, size):
             m = min(size, n + 1 - start)
             a_blk = a_all[start - 1:start - 1 + m]
-            steps = eta * np.arange(start, start + m, dtype=float) ** (-alpha)
+            steps = schedule.step(np.arange(start, start + m, dtype=float))
             # The sequential part: only t = aᵀx, the scalar ℓ′(t, b) and
             # the step are computed per iteration.
             for k, (a, b, gamma) in enumerate(zip(

@@ -299,7 +299,7 @@ def test_c09_streaming_equals_trace_replay():
 
 def test_c10_highdim_coverage_and_ols_identity():
     cfg = harness.load_config(CONFIG_DIR / "table3_highdim_d100.yaml")
-    rows, _ = harness.run_highdim_scenario(cfg["highdim"][0], workers=4)
+    rows, _ = harness.run_scenario(cfg["highdim"][0], workers=4)
     by = {r.estimator: r for r in rows}
     s0, s0c = by["debiased-s0"], by["debiased-s0c"]
 
@@ -323,12 +323,16 @@ def test_c10_highdim_coverage_and_ols_identity():
 
 def test_c11_byte_determinism(tmp_path):
     cfg_path = CONFIG_DIR / "demo_small.yaml"
-    outs = []
+    outs = {"scenarios": [], "highdim": []}
     for name, workers in (("a", 1), ("b", 3), ("c", 3)):
-        out = tmp_path / name
-        harness.simulate(cfg_path, out, workers=workers)
-        outs.append((out / "results.csv").read_bytes())
-    _emit("C11 deterministic outputs", [
-        ("workers=1 vs workers=3 byte-identical", outs[0] == outs[1]),
-        ("repeat run byte-identical", outs[1] == outs[2]),
-    ])
+        for section, csvs in outs.items():
+            out = tmp_path / name / section
+            harness.simulate(cfg_path, out, workers=workers, section=section)
+            csvs.append((out / "results.csv").read_bytes())
+    clauses = []
+    for section, csvs in outs.items():
+        clauses += [
+            (f"{section}: workers=1 vs workers=3 byte-identical", csvs[0] == csvs[1]),
+            (f"{section}: repeat run byte-identical", csvs[1] == csvs[2]),
+        ]
+    _emit("C11 deterministic outputs", clauses)

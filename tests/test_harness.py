@@ -1,10 +1,15 @@
+import importlib
+import importlib.util
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgdinf import harness, models
+from sgdinf.highdim import DegenerateResidualError
 from sgdinf.harness import (
     AggregateRow,
     ConfigError,
@@ -97,6 +102,45 @@ class TestConfig:
             "      plugin: false"))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("where,old,new", [
+        ("in config file", "workers: 1", "worker: 1"),
+        ("scenarios[0]: unknown key(s) alpah in scenario", "    alpha: 0.5",
+         "    alpah: 0.5"),
+        ("scenarios[0]: unknown key(s) sigam in model", "      sigma: 1.0",
+         "      sigam: 1.0"),
+        ("scenarios[0]: unknown key(s) batch_mean in estimators",
+         "      batch_means: [0.25]", "      batch_mean: [0.25]"),
+        ("highdim[0]: unknown key(s) coef_maxx in highdim entry",
+         "    coef_max: 10.0", "    coef_maxx: 10.0"),
+    ])
+    def test_unknown_key_rejected_naming_file_and_field(self, tmp_path, where,
+                                                        old, new):
+        path = tmp_path / "typo.yaml"
+        assert old in SMALL_YAML
+        path.write_text(SMALL_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert "typo.yaml" in message
+        assert f"unknown key(s) {new.split(':')[0].strip()} in" in message
+        assert where in message
+
+    def test_benchmark_config_loads(self, tmp_path, monkeypatch):
+        # bench/run.py writes its own Table-1 config; it must stay loadable
+        bench = Path(__file__).parent.parent / "bench"
+        # run.py pins BLAS threads in os.environ on import; undo that after
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        table1 = run.Table1.__new__(run.Table1)
+        table1.workers = 2
+        path = tmp_path / "bench.yaml"
+        table1._write_config(path, 1000, 2)
+        assert [s.scenario_id for s in load_config(path)["scenarios"]] == ["table1-linear"]
 
     def test_default_eta_by_model(self):
         lin = small_scenario(eta=None)
@@ -256,7 +300,7 @@ class TestHighdimScenario:
     def test_smoke_with_split_rows(self):
         scn = harness.HighDimScenario(scenario_id="hd", n=60, d=12, s0=2,
                                       seed=5, n_sim=3, coef_max=10.0)
-        rows, _ = harness.run_highdim_scenario(scn, workers=1)
+        rows, _ = harness.run_scenario(scn, workers=1)
         labels = [r.estimator for r in rows]
         assert labels == ["debiased-s0", "debiased-s0c"]
         # one interval per coordinate in S0 (2) or its complement (10)
@@ -268,7 +312,58 @@ class TestHighdimScenario:
     def test_truth_fixed_across_replications(self):
         scn = harness.HighDimScenario(scenario_id="hd", n=50, d=10, s0=3,
                                       seed=5, n_sim=2)
-        x1 = harness._highdim_truth(scn)
-        x2 = harness._highdim_truth(scn)
+        x1 = scn.model.xs
+        x2 = scn.model.xs
         np.testing.assert_array_equal(x1, x2)
         assert (x1[:3] > 0).all() and (x1[3:] == 0).all()
+
+    def test_oracle_length_is_the_linear_oracle(self):
+        # sigma^2 Sigma^-1 gives 2 z sigma sqrt(diag(Sigma^-1) / n)
+        scn = harness.HighDimScenario(scenario_id="hd", n=50, d=6, s0=2, seed=5,
+                                      n_sim=1, design=models.DesignKind.TOEPLITZ,
+                                      rho=0.5, sigma=2.0)
+        sigma_inv = np.linalg.inv(0.5 ** np.abs(np.subtract.outer(np.arange(6),
+                                                                 np.arange(6))))
+        want = 2 * 1.959963984540054 * 2.0 * np.sqrt(np.diag(sigma_inv) / 50)
+        np.testing.assert_allclose(make_oracle_bundle(scn).lengths, want, rtol=1e-14)
+
+    def test_failed_replication_is_counted(self, tmp_path, monkeypatch):
+        # one degenerate replication is recorded and the others still count
+        real = harness.fit_debiased_lasso
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateResidualError("tau_hat_4 = -1.000e-03 <= 0")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_debiased_lasso", flaky)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SMALL_YAML)
+        rows = harness.simulate(path, tmp_path / "out", workers=1, section="highdim")
+        assert [r.n_sim for r in rows] == [2, 2]
+        assert [r.intervals for r in rows] == [2 * 2, 2 * 10]
+        doc = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert doc["failures"] == {"hd-smoke": [[1, "tau_hat_4 = -1.000e-03 <= 0"]]}
+
+
+def test_benchmark_traced_names_exist():
+    # bench/tracer.py wraps these by name; a rename would zero a metric
+    path = Path(__file__).parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module_name, attr, _, _ in tracer.TRACED:
+        module = importlib.import_module(f"sgdinf.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(getattr(module, cls_name).__dict__.get(meth)), attr
+        else:
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    # the tracer's counters read these arguments
+    assert list(inspect.signature(importlib.import_module("sgdinf.sgd").run)
+                .parameters)[1] == "n"
+    assert "on_step" in inspect.signature(
+        importlib.import_module("sgdinf.highdim").radar_lasso).parameters

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdinf.highdim import (
     DegenerateResidualError,
@@ -10,7 +12,6 @@ from sgdinf.highdim import (
     epoch_plan,
     fit_debiased_lasso,
     highdim_ci,
-    load_design_csv,
     lp_geometry,
     nodewise_fit,
     nodewise_fit_all,
@@ -103,7 +104,8 @@ class TestRadarSolve:
     def test_budget_exceeding_stream_rejected(self, rng):
         design, b, _ = sparse_problem(rng, 50, 4, [1.0])
         with pytest.raises(RadarConfigError):
-            radar_solve(design, b, RadarConfig(r1=1.0, s_bound=1, total_n=60))
+            radar_solve(design, b[:, None],
+                        RadarConfig(r1=1.0, s_bound=1, total_n=60))
 
     def test_convergence_rate_trend(self, rng):
         # l1 error at n=4000 improves on n=1000 by a sqrt(n)-compatible factor
@@ -157,6 +159,47 @@ class TestNodewise:
         cfg = RadarConfig(r1=0.0, s_bound=1, total_n=100)
         gammas = nodewise_fit_all(design, cfg, r1_rows=np.zeros(5))
         assert np.array_equal(gammas, np.zeros((5, 4)))
+
+    def test_identity_rows_never_iterate(self, rng, monkeypatch):
+        # zero radii (the identity design's true gammas) skip the epoch solves
+        def no_eigen(*args):
+            raise AssertionError("a pinned row was iterated")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
+        design = rng.standard_normal((100, 8))
+        cfg = RadarConfig(r1=0.0, s_bound=1, total_n=100)
+        assert not nodewise_fit_all(design, cfg, r1_rows=np.zeros(8)).any()
+
+
+class TestBatchedSolver:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           subset=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+           hold_zero=st.booleans())
+    def test_rows_do_not_depend_on_the_batch(self, seed, subset, hold_zero):
+        # any subset of rows solved together equals each row solved alone
+        rng = np.random.default_rng(seed)
+        n, d, k = 240, 7, 6
+        design = rng.standard_normal((n, d)) @ rng.uniform(-0.5, 1.0, (d, d))
+        coefs = rng.standard_normal((d, k)) * (rng.random((d, k)) < 0.4)
+        targets = design @ coefs + rng.standard_normal((n, k))
+        r1 = rng.uniform(0.0, 4.0, k) * (rng.random(k) < 0.85)
+        s = rng.integers(0, 4, k)
+        fixed = rng.integers(0, d, k) if hold_zero else None
+        cfg = RadarConfig(r1=4.0, s_bound=3, total_n=n)
+
+        def solve(rows):
+            return radar_solve(design, targets[:, rows], cfg, r1[rows], s[rows],
+                               None if fixed is None else fixed[rows])
+
+        rows = sorted(subset)
+        together = solve(rows)
+        for i, j in enumerate(rows):
+            np.testing.assert_allclose(together[i], solve([j])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(together, solve(list(range(k)))[rows],
+                                   rtol=0, atol=1e-12)
+        if fixed is not None:
+            assert not together[np.arange(len(rows)), fixed[rows]].any()
 
 
 class TestTauHat:
@@ -290,24 +333,3 @@ class TestPipeline:
         raw = np.abs(fit.x_hat - x_star)[:s0].max()
         deb = np.abs(fit.x_debiased - x_star)[:s0].max()
         assert deb < raw + 0.5
-
-    def test_csv_ingest_round_trip(self, tmp_path, rng):
-        design = rng.standard_normal((10, 3))
-        b = rng.standard_normal(10)
-        path = tmp_path / "data.csv"
-        with open(path, "w") as fh:
-            fh.write("a1,a2,a3,b\n")
-            for row, y in zip(design, b):
-                fh.write(",".join(f"{v:.17g}" for v in row) + f",{y:.17g}\n")
-        d2, b2 = load_design_csv(path)
-        np.testing.assert_allclose(d2, design)
-        np.testing.assert_allclose(b2, b)
-
-    def test_precision_serialization(self, tmp_path):
-        est = build_omega(np.array([[0.5], [0.5]]), np.array([1.0, 1.0]))
-        doc = est.to_json()
-        assert '"omega"' in doc
-        path = tmp_path / "omega.csv"
-        est.save_csv(path)
-        loaded = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(loaded, est.omega)

@@ -213,6 +213,12 @@ class TestOracle:
         np.testing.assert_allclose(got.matrix, 4.0 * np.eye(3), atol=0.06)
         assert got.method is models.OracleMethod.MONTE_CARLO_HESSIAN
 
+    def test_noiseless_linear_oracle_is_zero(self):
+        # sigma = 0 is a valid linear model; its sigma^2 Sigma^-1 vanishes
+        got = oracle_covariance(linear_model(d=3, sigma=0.0))
+        np.testing.assert_array_equal(got.matrix, np.zeros((3, 3)))
+        assert oracle_ci_length(got, 0, 100, 0.05) == 0.0
+
     def test_oracle_ci_length_identity(self):
         oc = oracle_covariance(linear_model(d=5))
         lens = [oracle_ci_length(oc, j, 100000, 0.05) for j in range(5)]

@@ -9,12 +9,10 @@ from sgdinf.plugin import PluginAccumulator
 from sgdinf.sgd import (
     DivergenceError,
     EstimatorSink,
-    SgdState,
     SinkFinalizeError,
     StepSchedule,
     TraceSink,
     run,
-    sgd_step,
 )
 
 from conftest import reference_sgd_trace
@@ -78,31 +76,6 @@ class TestStepSchedule:
     def test_eta_positive(self):
         with pytest.raises(ValueError):
             StepSchedule(eta=0.0, alpha=0.5)
-
-
-class TestSgdStep:
-    def test_zero_gradient_moves_average_only(self):
-        state = SgdState(n=3, x=np.array([2.0]), x_bar=np.array([1.0]),
-                         x0=np.zeros(1))
-        out = sgd_step(state, StepSchedule(1.0, 0.5), np.zeros(1))
-        assert out.x[0] == 2.0
-        assert out.n == 4
-        assert out.x_bar[0] == pytest.approx(1.0 + (2.0 - 1.0) / 4)
-
-    def test_hand_arithmetic_one_dimensional(self):
-        sch = StepSchedule(eta=1.0, alpha=0.5)
-        state = SgdState.initial(np.zeros(1))
-        state = sgd_step(state, sch, np.ones(1))
-        assert state.x[0] == pytest.approx(-1.0)
-        state = sgd_step(state, sch, np.ones(1))
-        assert state.x[0] == pytest.approx(-1.0 - 2 ** -0.5)
-        assert state.x[0] == pytest.approx(-1.7071, abs=1e-4)
-
-    def test_divergence_carries_iteration(self):
-        state = SgdState(n=9, x=np.array([1.0]), x_bar=np.zeros(1), x0=np.zeros(1))
-        with pytest.raises(DivergenceError) as err:
-            sgd_step(state, StepSchedule(1.0, 0.5), np.array([np.inf]))
-        assert err.value.iteration == 10
 
 
 class TestRun:
@@ -260,13 +233,10 @@ class TestRun:
         with pytest.raises(ValueError):
             run(linear_model(), 10, StepSchedule(0.5, 0.5))
 
-    def test_trace_dump_files(self, tmp_path, rng):
+    def test_trace_keeps_every_kth_iterate(self, rng):
         trace = TraceSink(every=10)
-        run(linear_model(d=2), 100, StepSchedule(0.5, 0.5), sinks=[trace], rng=rng)
+        state, _ = run(linear_model(d=2), 100, StepSchedule(0.5, 0.5),
+                       sinks=[trace], rng=rng)
         assert trace.indices == list(range(10, 101, 10))
-        csv = tmp_path / "trace.csv"
-        trace.save_csv(csv)
-        assert len(csv.read_text().strip().splitlines()) == 11
-        npy = tmp_path / "trace.npy"
-        trace.save_npy(npy)
-        assert np.load(npy).shape == (10, 2)
+        assert trace.trace.shape == (10, 2)
+        np.testing.assert_array_equal(trace.trace[-1], state.x)
