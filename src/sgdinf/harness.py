@@ -38,6 +38,14 @@ class ConfigError(ValueError):
     """Bad or missing harness configuration."""
 
 
+def _check_q_and_n_sim(scn) -> None:
+    """Reject a level q outside (0, 1) or fewer than one replication."""
+    if not 0.0 < scn.q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {scn.q}")
+    if scn.n_sim < 1:
+        raise ValueError(f"n_sim must be >= 1, got {scn.n_sim}")
+
+
 @dataclass(frozen=True)
 class EstimatorChoice:
     kind: str                  # "plugin" | "bm" | "oracle"
@@ -63,6 +71,9 @@ class ScenarioConfig:
     estimators: tuple = ()
     fixed_design: bool = False
     oracle_mc_samples: int = 1_000_000
+
+    def __post_init__(self):
+        _check_q_and_n_sim(self)
 
     @property
     def resolved_eta(self) -> float:
@@ -95,6 +106,10 @@ class HighDimScenario:
     # The model is linear, so its oracle is closed-form and draws nothing.
     oracle_mc_samples: ClassVar[int] = 0
     labels: ClassVar[tuple] = ("debiased-s0", "debiased-s0c")
+
+    def __post_init__(self):
+        _check_q_and_n_sim(self)
+        self.model  # builds the design, which checks d and rho
 
     @property
     def model(self) -> models.ModelSpec:

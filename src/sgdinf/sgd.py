@@ -7,6 +7,13 @@ per iteration; at the end of the chunk it checks the iterates for
 divergence and hands every registered sink the chunk's iterates,
 covariates and the scalar derivatives ℓ′ and ℓ″, from which gradients
 ℓ′·a and Hessians ℓ″·aaᵀ follow.
+
+A chunk is split into Gram sub-blocks of _BLOCK rows. Since x_k =
+x_lo − Σ_{j≤k} c_j·a_j with c_j = γ_j·ℓ′_j, the pre-step value aᵀx of row k
+is a_kᵀx_lo minus row k of the sub-block's Gram matrix dotted with the c
+found so far: one dot product per iteration. The iterates themselves are
+rebuilt once per sub-block by a cumulative sum of −c_j·a_j, the same
+subtractions in the same order as the step-by-step recursion.
 """
 
 from __future__ import annotations
@@ -110,6 +117,11 @@ class TraceSink(EstimatorSink):
 
 # Iterations per block handed to the sinks. The buffers are O(_CHUNK·d).
 _CHUNK = 4096
+# Rows per Gram sub-block inside a chunk: the sequential work of an
+# iteration is one dot product of length _BLOCK, and the sub-block's Gram
+# matrix adds O(_BLOCK²) memory. 64 keeps both small next to the
+# per-sub-block numpy calls it amortises.
+_BLOCK = 64
 
 
 def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
@@ -126,8 +138,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
     d = model.d
     if x0 is None:
         x0 = np.zeros(d)
-    x = np.asarray(x0, dtype=float).copy()
-    x0 = x.copy()
+    x0 = np.asarray(x0, dtype=float).copy()
     sinks = list(sinks)
 
     if data is not None:
@@ -143,7 +154,9 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
 
     logistic = model.kind is models.ModelKind.LOGISTIC
     size = min(_CHUNK, n)
-    xs_buf = np.empty((size, d))
+    # row 0 carries the iterate the chunk starts from, rows 1..m its iterates
+    xs_buf = np.empty((size + 1, d))
+    xs_buf[0] = x0
     r_buf = np.empty(size)
     t_buf = np.empty(size)
     x_sum = np.zeros(d)
@@ -153,27 +166,40 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         for start in range(1, n + 1, size):
             m = min(size, n + 1 - start)
             a_blk = a_all[start - 1:start - 1 + m]
+            b_blk = b_all[start - 1:start - 1 + m]
             steps = schedule.step(np.arange(start, start + m, dtype=float))
-            # The sequential part: only t = aᵀx, the scalar ℓ′(t, b) and
-            # the step are computed per iteration.
-            for k, (a, b, gamma) in enumerate(zip(
-                    a_blk, b_all[start - 1:start - 1 + m].tolist(), steps.tolist())):
-                t = float(a.dot(x))
-                if logistic:
-                    # ℓ′ = −b·σ(−bt), in the form whose exp cannot overflow
-                    u = b * t
-                    if u > 0:
-                        e = exp(-u)
-                        r = -b * e / (1.0 + e)
+            for lo in range(0, m, _BLOCK):
+                hi = min(lo + _BLOCK, m)
+                a_sub = a_blk[lo:hi]
+                # t_k = a_kᵀx_lo − Σ_{j<k} (a_kᵀa_j)·c_j; c is zero from row k on
+                gram = a_sub @ a_sub.T
+                c = np.zeros(hi - lo)
+                r_sub, t_sub = [], []
+                for k, (g, base, b, gamma) in enumerate(zip(
+                        gram, (a_sub @ xs_buf[lo]).tolist(),
+                        b_blk[lo:hi].tolist(), steps[lo:hi].tolist())):
+                    t = base - float(g.dot(c))
+                    if logistic:
+                        # ℓ′ = −b·σ(−bt), in the form whose exp cannot overflow
+                        u = b * t
+                        if u > 0:
+                            e = exp(-u)
+                            r = -b * e / (1.0 + e)
+                        else:
+                            r = -b / (1.0 + exp(u))
                     else:
-                        r = -b / (1.0 + exp(u))
-                else:
-                    r = t - b
-                x -= a * (gamma * r)
-                xs_buf[k] = x
-                r_buf[k] = r
-                t_buf[k] = t
-            xs, rs, ts = xs_buf[:m], r_buf[:m], t_buf[:m]
+                        r = t - b
+                    c[k] = gamma * r
+                    r_sub.append(r)
+                    t_sub.append(t)
+                r_buf[lo:hi] = r_sub
+                t_buf[lo:hi] = t_sub
+                # x_k = x_{k−1} − c_k·a_k, summed in the same order as the
+                # step-by-step recursion
+                rows = xs_buf[lo:hi + 1]
+                np.multiply(a_sub, -c[:, None], out=rows[1:])
+                np.cumsum(rows, axis=0, out=rows)
+            xs, rs, ts = xs_buf[1:m + 1], r_buf[:m], t_buf[:m]
             # an iterate has diverged once its squared norm is not finite
             bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", xs, xs)))
             if bad.size:
@@ -185,6 +211,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
                 ws = np.ones(m)
             for s in sinks:
                 s.observe(start, xs, a_blk, rs, ws)
+            xs_buf[0] = xs_buf[m]
     x_bar = x_sum / n
 
     estimates = []
@@ -195,7 +222,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         except Exception as exc:  # collected per sink, reported together
             errors[type(s).__name__] = exc
             estimates.append(None)
-    state = SgdState(n=n, x=x.copy(), x_bar=x_bar.copy(), x0=x0)
+    state = SgdState(n=n, x=xs_buf[0].copy(), x_bar=x_bar.copy(), x0=x0)
     if errors:
         raise SinkFinalizeError(errors)
     return state, estimates

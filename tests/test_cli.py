@@ -112,6 +112,28 @@ class TestHighdimSimulate:
         assert rc == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("command,where,old,new", [
+        ("simulate", "scenarios[0]", "    n_sim: 4", "    n_sim: 0"),
+        ("simulate", "scenarios[0]", "    eta: 0.5", "    eta: 0.5\n    q: 2"),
+        ("highdim-simulate", "highdim[0]", "    coef_max: 5.0",
+         "    coef_max: 5.0\n    design: toeplitz\n    rho: 1.5"),
+        ("highdim-simulate", "highdim[0]", "    n_sim: 2", "    n_sim: 0"),
+    ])
+    def test_bad_value_is_exit_2_naming_file_and_entry(
+            self, tmp_path, capsys, command, where, old, new):
+        path = tmp_path / "badvalue.yaml"
+        assert old in CONFIG
+        path.write_text(CONFIG.replace(old, new, 1))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "badvalue.yaml" in err and f"{where}: " in err
+        assert not out.exists()
+
+
 class TestReport:
     def test_pretty_print(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

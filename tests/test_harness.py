@@ -126,6 +126,27 @@ class TestConfig:
         assert f"unknown key(s) {new.split(':')[0].strip()} in" in message
         assert where in message
 
+    @pytest.mark.parametrize("where,old,new", [
+        ("scenarios[0]: q must lie in (0, 1), got 1.5", "    q: 0.05", "    q: 1.5"),
+        ("scenarios[0]: q must lie in (0, 1), got 0.0", "    q: 0.05", "    q: 0"),
+        ("scenarios[0]: n_sim must be >= 1, got 0", "    n_sim: 4", "    n_sim: 0"),
+        ("highdim[0]: q must lie in (0, 1), got 1.0", "    coef_max: 10.0",
+         "    coef_max: 10.0\n    q: 1"),
+        ("highdim[0]: n_sim must be >= 1, got -1", "    n_sim: 3", "    n_sim: -1"),
+        ("highdim[0]: rho must lie in [0, 1) for toeplitz, got 1.5",
+         "    coef_max: 10.0", "    coef_max: 10.0\n    design: toeplitz\n    rho: 1.5"),
+    ])
+    def test_out_of_range_value_rejected_naming_file_and_field(
+            self, tmp_path, where, old, new):
+        path = tmp_path / "range.yaml"
+        assert old in SMALL_YAML
+        path.write_text(SMALL_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert "range.yaml" in message
+        assert where in message
+
     def test_benchmark_config_loads(self, tmp_path, monkeypatch):
         # bench/run.py writes its own Table-1 config; it must stay loadable
         bench = Path(__file__).parent.parent / "bench"
@@ -326,6 +347,43 @@ class TestHighdimScenario:
                                                                  np.arange(6))))
         want = 2 * 1.959963984540054 * 2.0 * np.sqrt(np.diag(sigma_inv) / 50)
         np.testing.assert_allclose(make_oracle_bundle(scn).lengths, want, rtol=1e-14)
+
+    def test_toeplitz_runs_nodewise_regressions(self, tmp_path, monkeypatch):
+        # Under the identity design every true gamma is zero, so every
+        # node-wise radius is 0 and gamma-hat is all zeros without a solve.
+        # On a Toeplitz design each row has nonzero true neighbours.
+        path = tmp_path / "toeplitz.yaml"
+        path.write_text("""
+highdim:
+  - id: hd-toeplitz
+    n: 60
+    d: 8
+    s0: 2
+    seed: 5
+    n_sim: 4
+    coef_max: 5.0
+    design: toeplitz
+    rho: 0.5
+""")
+        real = harness.fit_debiased_lasso
+        gammas = []
+
+        def recording(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            gammas.append(fit.precision.gamma)
+            return fit
+
+        monkeypatch.setattr(harness, "fit_debiased_lasso", recording)
+        rows = harness.simulate(path, tmp_path / "w1", workers=1, section="highdim")
+        assert [r.n_sim for r in rows] == [4, 4]
+        assert len(gammas) == 4
+        for gamma in gammas:
+            assert gamma.shape == (8, 7)
+            assert (np.abs(gamma).max(axis=1) > 0).all()
+        monkeypatch.undo()
+        harness.simulate(path, tmp_path / "w2", workers=2, section="highdim")
+        assert ((tmp_path / "w1" / "results.csv").read_bytes()
+                == (tmp_path / "w2" / "results.csv").read_bytes())
 
     def test_failed_replication_is_counted(self, tmp_path, monkeypatch):
         # one degenerate replication is recorded and the others still count

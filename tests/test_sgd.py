@@ -53,6 +53,7 @@ class RecordingSink(EstimatorSink):
 
 
 CHUNKS = (1, 7, sgd._CHUNK)
+BLOCKS = (1, 7, sgd._BLOCK)
 
 
 def each_chunk(monkeypatch):
@@ -60,6 +61,15 @@ def each_chunk(monkeypatch):
     for size in CHUNKS:
         monkeypatch.setattr(sgd, "_CHUNK", size)
         yield size
+
+
+def each_engine(monkeypatch):
+    """Set the engine's chunk and Gram sub-block sizes to each pair of
+    CHUNKS × BLOCKS in turn."""
+    for size in each_chunk(monkeypatch):
+        for block in BLOCKS:
+            monkeypatch.setattr(sgd, "_BLOCK", block)
+            yield size, block
 
 
 class TestStepSchedule:
@@ -140,7 +150,7 @@ class TestRun:
             model = logistic_model(design, d=5)
         a, b = models.sample_dataset(model, n, rng)
         ref = reference_sgd_trace(model, a, b, eta=0.9, alpha=0.55)
-        for _ in each_chunk(monkeypatch):
+        for _ in each_engine(monkeypatch):
             trace = TraceSink(every=1)
             bm = BatchMeansAccumulator(make_schedule(n, 9, 0.5), 5)
             state, _ = run(model, n, StepSchedule(0.9, 0.55),
@@ -156,7 +166,7 @@ class TestRun:
         # sink that needs one. ℓ″ ≡ 1 for the linear model and σ(t)σ(−t)
         # for the logistic one; r is ℓ′.
         for model in (linear_model(), logistic_model()):
-            for _ in each_chunk(monkeypatch):
+            for _ in each_engine(monkeypatch):
                 sink = RecordingSink()
                 a, b = models.sample_dataset(model, 50, rng)
                 run(model, 50, StepSchedule(0.5, 0.5), sinks=[sink], data=(a, b))
@@ -174,18 +184,19 @@ class TestRun:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
-           logistic=st.booleans())
+           block_size=st.integers(1, 150), logistic=st.booleans())
     def test_estimates_do_not_depend_on_chunk_size(self, seed, chunk_size,
-                                                   logistic):
+                                                   block_size, logistic):
         n, d = 600, 3
         model = logistic_model(d=d) if logistic else linear_model(d=d)
         data = models.sample_dataset(model, n, np.random.default_rng(seed))
         out = []
-        for size in (chunk_size, sgd._CHUNK):
+        for size, block in ((chunk_size, block_size), (sgd._CHUNK, sgd._BLOCK)):
             sinks = [PluginAccumulator(d, lambda_a=0.1),
                      BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sgd, "_CHUNK", size)
+                mp.setattr(sgd, "_BLOCK", block)
                 state, est = run(model, n, StepSchedule(0.7, 0.5), sinks=sinks,
                                  data=data)
             out.append((state.x_bar, est[0].matrix, est[1].matrix))
@@ -209,7 +220,7 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             ref = reference_sgd_trace(model, a, b, eta=50.0, alpha=0.5)
             want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
-        for _ in each_chunk(monkeypatch):
+        for _ in each_engine(monkeypatch):
             sink = RecordingSink()
             with pytest.raises(DivergenceError) as err:
                 # eta far above the stability threshold blows up immediately
