@@ -32,7 +32,6 @@ from .highdim import (
     debias,
     fit_debiased_lasso,
     highdim_ci,
-    nodewise_fit,
     nodewise_fit_all,
     radar_lasso,
     radar_solve,
@@ -57,7 +56,7 @@ __all__ = [
     "PluginAccumulator", "threshold_eigen", "DivergenceError", "EstimatorSink",
     "SgdState", "StepSchedule", "TraceSink", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",
-    "fit_debiased_lasso", "highdim_ci", "nodewise_fit", "nodewise_fit_all",
+    "fit_debiased_lasso", "highdim_ci", "nodewise_fit_all",
     "radar_lasso", "radar_solve", "tau_hat",
 ]
 

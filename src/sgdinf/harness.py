@@ -74,6 +74,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_q_and_n_sim(self)
+        StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
+        for choice in self.estimators:
+            if choice.kind == "bm":     # raises ScheduleError if infeasible
+                make_schedule(self.n, batch_count(self.n, choice.c), self.alpha)
 
     @property
     def resolved_eta(self) -> float:

@@ -63,6 +63,18 @@ def pball_norm(u: np.ndarray, p: float):
     return (m * (w ** p).sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
 
+def scale_into_ball(u: np.ndarray, radii: np.ndarray, p: float) -> None:
+    """Scale each row of u in place by min(1, R_k / ||u_k||_p).
+
+    For p >= 1, ||u_k||_p <= ||u_k||_1, so a row with ||u_k||_1 <= R_k is
+    certified feasible and its factor is exactly 1: only the other rows
+    pay for the fractional power in pball_norm.
+    """
+    out = np.abs(u).sum(axis=1) > radii
+    if out.any():
+        u[out] *= np.minimum(1.0, radii[out] / pball_norm(u[out], p))[:, None]
+
+
 def soft_threshold(z: np.ndarray, thr) -> np.ndarray:
     """sign(z)·max(|z| − thr, 0), as z minus its clip to [−thr, thr]."""
     return z - np.minimum(np.maximum(z, -thr), thr)
@@ -134,8 +146,7 @@ def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
 
 
 def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
-                r1_rows=None, s_rows=None, fixed=None, on_epoch=None,
-                on_step=None) -> np.ndarray:
+                r1_rows=None, s_rows=None, fixed=None, on_step=None) -> np.ndarray:
     """Multi-epoch annealed l1 solver for K rows sharing one Gram matrix.
 
     D (n, d) is the covariate stream in arrival order and column k of
@@ -143,18 +154,19 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     are consumed. At the end of each epoch row k approximately minimizes
     1/2 x'Gx - c_k'x + lam_k|x|_1, with G and c_k the running means of aa'
     and a*targets[:, k], over the p-ball of radius R_k around its previous
-    center, by ISTA sweeps with radial feasibility projection. Epoch
-    lengths follow `config`; radii (default config.r1) and sparsities
+    center, by ISTA sweeps with radial feasibility projection, which needs
+    the p-norm only of rows with |u|_1 > R_k: lp_geometry's p = q/(q-1) is
+    at least 1, and |u|_p <= |u|_1 for p >= 1. Epoch lengths follow
+    `config`; radii (default config.r1) and sparsities
     (default config.s_bound) are per row, with
     lam_k^2 = c_lambda * R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
 
     fixed[k], when given, is a coordinate of row k held at zero; the ball
     geometry is then that of the d-1 free coordinates. A row of radius 0
     stays at its center, and a row stops sweeping once its step falls
-    below TOL, so no row's path depends on the other rows. on_epoch(epoch,
-    y) sees the (K, d) centers after each epoch; on_step(epoch, x, y) the
-    new iterates and the centers of the rows still sweeping. Returns the
-    final centers.
+    below TOL, so no row's path depends on the other rows. on_step(epoch,
+    x, y) sees the new iterates and the centers of the rows still
+    sweeping. Returns the final centers.
     """
     n, d = D.shape
     if config.total_n > n:
@@ -187,8 +199,6 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
                               / (s_rows[live] * math.sqrt(seen)))
                 _sweep(y, live, gram, lip, cross_sum.T[live] / seen,
                        lam[:, None] / lip, radii[live], fixed, p, ep, on_step)
-        if on_epoch is not None:
-            on_epoch(ep, y)
         radii = radii / SQRT2
     return y
 
@@ -203,57 +213,43 @@ def _sweep(y, live, gram, lip, rhs, thr, radii, fixed, p, ep, on_step):
     # once its step is below this bound (doubled for rounding); the exact
     # test runs only then.
     near = 2.0 * TOL * np.maximum(1.0, np.abs(center).max(axis=1) + radii)
-    with np.errstate(divide="ignore"):      # a zero offset has no scaling
-        for _ in range(INNER_ITERS):
-            u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
+    for _ in range(INNER_ITERS):
+        u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
+        if cols is not None:
+            u[rows, cols] = 0.0
+        u -= center
+        scale_into_ball(u, radii, p)
+        x_new = center + u
+        if on_step is not None:
+            on_step(ep, x_new, center)
+        step = np.abs(x_new - x).max(axis=1)
+        x = x_new
+        if not (step < near).any():
+            continue
+        done = step < TOL * np.maximum(1.0, np.abs(x).max(axis=1))
+        if done.any():
+            y[live[done]] = x[done]
+            keep = ~done
+            live, x, center, rhs, thr, radii, near = (
+                live[keep], x[keep], center[keep], rhs[keep], thr[keep],
+                radii[keep], near[keep])
+            if not live.size:
+                return
             if cols is not None:
-                u[rows, cols] = 0.0
-            u -= center
-            u *= np.minimum(1.0, radii / pball_norm(u, p))[:, None]
-            x_new = center + u
-            if on_step is not None:
-                on_step(ep, x_new, center)
-            step = np.abs(x_new - x).max(axis=1)
-            x = x_new
-            if not (step < near).any():
-                continue
-            done = step < TOL * np.maximum(1.0, np.abs(x).max(axis=1))
-            if done.any():
-                y[live[done]] = x[done]
-                keep = ~done
-                live, x, center, rhs, thr, radii, near = (
-                    live[keep], x[keep], center[keep], rhs[keep], thr[keep],
-                    radii[keep], near[keep])
-                if not live.size:
-                    return
-                if cols is not None:
-                    cols, rows = cols[keep], rows[:live.size]
+                cols, rows = cols[keep], rows[:live.size]
     y[live] = x
 
 
 def radar_lasso(D: np.ndarray, b: np.ndarray, config: RadarConfig,
-                on_epoch=None, on_step=None) -> np.ndarray:
+                on_step=None) -> np.ndarray:
     """Solve the l1-regularized regression of b on the rows of D: the
-    solver with one row, whose callbacks see 1-D vectors."""
-    epoch_cb = step_cb = None
-    if on_epoch is not None:
-        def epoch_cb(ep, y):
-            on_epoch(ep, y[0])
+    solver with one row, whose on_step sees 1-D vectors."""
+    step_cb = None
     if on_step is not None:
         def step_cb(ep, x, y):
             on_step(ep, x[0], y[0])
     b = np.asarray(b, dtype=float)
-    return radar_solve(D, b[:, None], config, on_epoch=epoch_cb,
-                       on_step=step_cb)[0]
-
-
-def nodewise_fit(j: int, D: np.ndarray, config: RadarConfig) -> np.ndarray:
-    """Node-wise regression of column j on the others, one stream pass.
-
-    Targets (gamma^j)* = -Omega_jj^{-1} (Omega_{j,-j})^T; returns a length
-    d-1 coefficient vector, equal to row j of nodewise_fit_all.
-    """
-    return np.delete(radar_solve(D, D[:, [j]], config, fixed=[j])[0], j)
+    return radar_solve(D, b[:, None], config, on_step=step_cb)[0]
 
 
 def nodewise_fit_all(D: np.ndarray, config: RadarConfig,
@@ -261,8 +257,9 @@ def nodewise_fit_all(D: np.ndarray, config: RadarConfig,
     """All d node-wise fits over the same replayed stream, sharing one
     accumulated Gram matrix.
 
-    Row j of the returned (d, d-1) array is gamma^j. Epoch lengths are
-    planned from the largest per-row radius/sparsity so the rows share
+    Row j of the returned (d, d-1) array is gamma^j, column j regressed on
+    the others, targeting -Omega_jj^{-1} (Omega_{j,-j})^T. Epoch lengths
+    are planned from the largest per-row radius/sparsity so the rows share
     sample blocks; radii and regularization stay per-row.
     """
     d = D.shape[1]

@@ -3,17 +3,17 @@
 run() makes one pass over fresh samples and keeps the (Polyak-Ruppert)
 average of the iterates. It walks the stream in chunks: inside a chunk
 only the sequential recursion runs, one scalar GLM derivative ℓ′(aᵀx, b)
-per iteration; at the end of the chunk it checks the iterates for
-divergence and hands every registered sink the chunk's iterates,
-covariates and the scalar derivatives ℓ′ and ℓ″, from which gradients
-ℓ′·a and Hessians ℓ″·aaᵀ follow.
+per iteration; at the end of the chunk it hands every registered sink the
+chunk's iterates, covariates and the scalar derivatives ℓ′ and ℓ″, from
+which gradients ℓ′·a and Hessians ℓ″·aaᵀ follow.
 
 A chunk is split into Gram sub-blocks of _BLOCK rows. Since x_k =
 x_lo − Σ_{j≤k} c_j·a_j with c_j = γ_j·ℓ′_j, the pre-step value aᵀx of row k
 is a_kᵀx_lo minus row k of the sub-block's Gram matrix dotted with the c
 found so far: one dot product per iteration. The iterates themselves are
 rebuilt once per sub-block by a cumulative sum of −c_j·a_j, the same
-subtractions in the same order as the step-by-step recursion.
+subtractions in the same order as the step-by-step recursion, and then
+checked for divergence, so a diverging run stops within one sub-block.
 """
 
 from __future__ import annotations
@@ -199,11 +199,15 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
                 rows = xs_buf[lo:hi + 1]
                 np.multiply(a_sub, -c[:, None], out=rows[1:])
                 np.cumsum(rows, axis=0, out=rows)
+                # an iterate has diverged once its squared norm is not finite;
+                # such a row makes the total non-finite, so search only then
+                rows = rows[1:]
+                if not math.isfinite(np.vdot(rows, rows)):
+                    bad = np.flatnonzero(
+                        ~np.isfinite(np.einsum("ij,ij->i", rows, rows)))
+                    if bad.size:
+                        raise DivergenceError(start + lo + int(bad[0]))
             xs, rs, ts = xs_buf[1:m + 1], r_buf[:m], t_buf[:m]
-            # an iterate has diverged once its squared norm is not finite
-            bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", xs, xs)))
-            if bad.size:
-                raise DivergenceError(start + int(bad[0]))
             x_sum += xs.sum(axis=0)
             if logistic:
                 ws = models.sigmoid(ts) * models.sigmoid(-ts)

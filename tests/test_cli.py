@@ -116,6 +116,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command,where,old,new", [
         ("simulate", "scenarios[0]", "    n_sim: 4", "    n_sim: 0"),
         ("simulate", "scenarios[0]", "    eta: 0.5", "    eta: 0.5\n    q: 2"),
+        ("simulate", "scenarios[0]", "    n: 1200", "    n: 3"),
         ("highdim-simulate", "highdim[0]", "    coef_max: 5.0",
          "    coef_max: 5.0\n    design: toeplitz\n    rho: 1.5"),
         ("highdim-simulate", "highdim[0]", "    n_sim: 2", "    n_sim: 0"),

@@ -130,6 +130,11 @@ class TestConfig:
         ("scenarios[0]: q must lie in (0, 1), got 1.5", "    q: 0.05", "    q: 1.5"),
         ("scenarios[0]: q must lie in (0, 1), got 0.0", "    q: 0.05", "    q: 0"),
         ("scenarios[0]: n_sim must be >= 1, got 0", "    n_sim: 4", "    n_sim: 0"),
+        ("scenarios[0]: n=3 too small for M=1 (need n >= (M+1)^2)",
+         "    n: 2000", "    n: 3"),
+        ("scenarios[0]: alpha must lie in [0.5, 1), got 0.3", "    alpha: 0.5",
+         "    alpha: 0.3"),
+        ("scenarios[0]: eta must be positive, got -1.0", "    eta: 0.5", "    eta: -1"),
         ("highdim[0]: q must lie in (0, 1), got 1.0", "    coef_max: 10.0",
          "    coef_max: 10.0\n    q: 1"),
         ("highdim[0]: n_sim must be >= 1, got -1", "    n_sim: 3", "    n_sim: -1"),

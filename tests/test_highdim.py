@@ -13,11 +13,11 @@ from sgdinf.highdim import (
     fit_debiased_lasso,
     highdim_ci,
     lp_geometry,
-    nodewise_fit,
     nodewise_fit_all,
     pball_norm,
     radar_lasso,
     radar_solve,
+    scale_into_ball,
     tau_hat,
 )
 
@@ -60,6 +60,53 @@ class TestEpochPlan:
         assert (p2, q2) == (2.0, 2.0)
 
 
+def ball_row(kind, radius, d, p, rng):
+    """A row of length d placed against the l1 and p balls of `radius`."""
+    v = rng.standard_normal(d)
+    if kind == "sparse":
+        v *= rng.random(d) < 0.1
+    if kind == "zero" or not v.any():
+        return np.zeros(d)
+    if kind == "one_sparse_at_r":
+        row = np.zeros(d)
+        row[rng.integers(d)] = radius * rng.choice([-1.0, 1.0])
+        return row
+    if kind == "nearly_one_sparse":
+        # all but a sliver of the l1 mass on one entry
+        i, j = rng.choice(d, 2, replace=False)
+        row = np.zeros(d)
+        row[j] = radius * 10.0 ** -rng.uniform(0.0, 17.0)
+        row[i] = radius - row[j]
+        return row
+    if kind == "l1_at_r":
+        return v * (radius / np.abs(v).sum())
+    if kind == "p_at_r":
+        return v * (radius / pball_norm(v, p))
+    if kind == "far_outside":
+        return v * (1e3 * radius / np.abs(v).sum())
+    return v * 10.0 ** rng.uniform(-3.0, 2.0)
+
+
+class TestBallScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 500), seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(
+               ["dense", "sparse", "zero", "one_sparse_at_r", "nearly_one_sparse",
+                "l1_at_r", "p_at_r", "far_outside"]), min_size=1, max_size=8))
+    def test_certified_scaling_equals_the_ungated_formula(self, d, seed, kinds):
+        # rows with |u|_1 <= R skip the p-norm; every row must come out
+        # bit for bit as the unconditional projection leaves it
+        p, _ = lp_geometry(d)
+        rng = np.random.default_rng(seed)
+        radii = 10.0 ** rng.uniform(-3.0, 2.0, len(kinds))
+        u = np.array([ball_row(kind, r, d, p, rng) for kind, r in zip(kinds, radii)])
+        with np.errstate(divide="ignore"):
+            want = u * np.minimum(1.0, radii / pball_norm(u, p))[:, None]
+        got = u.copy()
+        scale_into_ball(got, radii, p)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRadarSolve:
     def test_noiseless_two_dimensional_recovery(self, rng):
         design, b, x_star = sparse_problem(rng, 2000, 2, [1.0], sigma=0.0)
@@ -93,9 +140,14 @@ class TestRadarSolve:
         # samples for the coordinate-detection signal to clear the noise
         cfg = RadarConfig(r1=1.1 * np.abs(x_star).sum(), s_bound=3,
                           total_n=10_000, t_min=16)
-        errs = []
-        radar_lasso(design, b, cfg,
-                    on_epoch=lambda ep, y: errs.append(np.abs(y - x_star).sum()))
+        # an epoch's last step lands on its new center
+        last = {}
+
+        def on_step(epoch, x, y):
+            last[epoch.index] = np.abs(x - x_star).sum()
+
+        radar_lasso(design, b, cfg, on_step=on_step)
+        errs = [last[i] for i in sorted(last)]
         assert len(errs) >= 3
         # decay across epochs, allowing small stochastic wobble per step
         assert all(b <= a * 1.05 for a, b in zip(errs, errs[1:]))
@@ -128,7 +180,7 @@ class TestNodewise:
     def test_identity_design_near_zero(self, rng):
         design = rng.standard_normal((100, 20))
         cfg = RadarConfig(r1=1.0, s_bound=1, total_n=100)
-        gamma = nodewise_fit(0, design, cfg)
+        gamma = nodewise_fit_all(design, cfg)[0]
         assert gamma.shape == (19,)
         assert np.abs(gamma).sum() < 0.15
 
@@ -143,7 +195,7 @@ class TestNodewise:
         factor = np.linalg.cholesky(sigma)
         design = rng.standard_normal((4000, 3)) @ factor.T
         cfg = RadarConfig(r1=1.0, s_bound=2, total_n=4000)
-        gamma = nodewise_fit(j, design, cfg)
+        gamma = nodewise_fit_all(design, cfg)[j]
         np.testing.assert_allclose(gamma, target, atol=0.1)
 
     def test_all_rows_match_single_fits(self, rng):
@@ -151,7 +203,8 @@ class TestNodewise:
         cfg = RadarConfig(r1=1.5, s_bound=2, total_n=300)
         gammas = nodewise_fit_all(design, cfg)
         for j in range(6):
-            single = nodewise_fit(j, design, cfg)
+            # column j regressed on the others, solved alone
+            single = np.delete(radar_solve(design, design[:, [j]], cfg, fixed=[j])[0], j)
             np.testing.assert_allclose(gammas[j], single, atol=1e-6)
 
     def test_pinned_rows_stay_zero(self, rng):

@@ -220,13 +220,24 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             ref = reference_sgd_trace(model, a, b, eta=50.0, alpha=0.5)
             want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
-        for _ in each_engine(monkeypatch):
+        cumsum = np.cumsum
+        for _, block in each_engine(monkeypatch):
+            # each cumulative sum rebuilds one sub-block's iterates
+            rebuilt = []
+
+            def counting_cumsum(rows, *args, **kwargs):
+                rebuilt.append(len(rows) - 1)
+                return cumsum(rows, *args, **kwargs)
+
+            monkeypatch.setattr(np, "cumsum", counting_cumsum)
             sink = RecordingSink()
             with pytest.raises(DivergenceError) as err:
                 # eta far above the stability threshold blows up immediately
                 run(model, 3000, StepSchedule(50.0, 0.5), sinks=[sink],
                     data=(a, b))
             assert err.value.iteration == want
+            # the run stops at the end of the sub-block holding iteration want
+            assert want <= sum(rebuilt) < want + block
             # no sink ever sees a non-finite iterate
             assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
 
