@@ -11,19 +11,15 @@ from .batchmeans import BatchMeansAccumulator, BatchSchedule, make_schedule
 from .estimates import CovarianceEstimate
 from .inference import CiReport, confidence_interval, z_quantile, z_test
 from .models import (
-    DataPoint,
     DesignKind,
     DesignSpec,
     ModelKind,
     ModelSpec,
     OracleCovariance,
-    grad,
-    hessian,
-    loss,
+    derivatives,
     make_covariance,
     oracle_ci_length,
     oracle_covariance,
-    sample_point,
 )
 from .highdim import (
     PrecisionEstimate,
@@ -37,7 +33,7 @@ from .highdim import (
     radar_solve,
     tau_hat,
 )
-from .plugin import PluginAccumulator, threshold_eigen
+from .plugin import PluginAccumulator
 from .sgd import (
     DivergenceError,
     EstimatorSink,
@@ -50,10 +46,9 @@ from .sgd import (
 __all__ = [
     "BatchMeansAccumulator", "BatchSchedule", "make_schedule",
     "CovarianceEstimate", "CiReport", "confidence_interval", "z_quantile",
-    "z_test", "DataPoint", "DesignKind", "DesignSpec", "ModelKind",
-    "ModelSpec", "OracleCovariance", "grad", "hessian", "loss",
-    "make_covariance", "oracle_ci_length", "oracle_covariance", "sample_point",
-    "PluginAccumulator", "threshold_eigen", "DivergenceError", "EstimatorSink",
+    "z_test", "DesignKind", "DesignSpec", "ModelKind", "ModelSpec",
+    "OracleCovariance", "derivatives", "make_covariance", "oracle_ci_length",
+    "oracle_covariance", "PluginAccumulator", "DivergenceError", "EstimatorSink",
     "SgdState", "StepSchedule", "TraceSink", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",
     "fit_debiased_lasso", "highdim_ci", "nodewise_fit_all",

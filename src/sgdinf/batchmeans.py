@@ -94,10 +94,9 @@ class BatchMeansAccumulator(EstimatorSink):
     """Streams iterates into per-batch means and finalizes the weighted
     between-batch covariance. Peak state is O(d·M), independent of n."""
 
-    def __init__(self, schedule: BatchSchedule, d: int, diagonal_only: bool = False):
+    def __init__(self, schedule: BatchSchedule, d: int):
         self.schedule = schedule
         self.d = d
-        self.diagonal_only = diagonal_only
         self._batch = 0                    # index of the open batch
         self._seen = 0
         self._cur_sum = np.zeros(d)
@@ -138,21 +137,14 @@ class BatchMeansAccumulator(EstimatorSink):
                 f"stream ended at {self._seen}, schedule expects {self.schedule.n}")
         m = self.schedule.m
         counts = np.asarray(self.batch_counts[1:], dtype=float)
-        means = np.asarray(self.batch_means[1:])
-        overall = self._post_burn_sum / counts.sum()
-        dev = means - overall
-        if self.diagonal_only:
-            diag = (counts[:, None] * dev * dev).sum(axis=0) / m
-            est = np.diag(diag)
-        else:
-            est = (dev.T * counts) @ dev / m
-            est = 0.5 * (est + est.T)
+        dev = np.asarray(self.batch_means[1:]) - self.overall_mean
+        est = (dev.T * counts) @ dev / m
+        est = 0.5 * (est + est.T)
         return CovarianceEstimate(
             matrix=est, estimator="batch_means", n=self.schedule.n,
             params={"M": m, "N": self.schedule.n_factor,
                     "alpha": self.schedule.alpha,
-                    "boundaries": list(self.schedule.boundaries),
-                    "diagonal_only": self.diagonal_only})
+                    "boundaries": list(self.schedule.boundaries)})
 
     @property
     def overall_mean(self) -> np.ndarray:

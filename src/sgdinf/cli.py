@@ -50,11 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_report(path: str) -> int:
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
-    except FileNotFoundError:
-        print(f"error: results file not found: {path}", file=sys.stderr)
+            numbered = [(i, ln.rstrip("\n").split(","))
+                        for i, ln in enumerate(fh, 1) if ln.strip()]
+    except OSError as exc:
+        print(f"error: cannot read results file {path}: {exc.strerror}",
+              file=sys.stderr)
         return 2
-    widths = [max(len(row[i]) for row in lines) for i in range(len(lines[0]))]
+    if not numbered:
+        print(f"error: results file {path} is empty", file=sys.stderr)
+        return 2
+    header = numbered[0][1]
+    for lineno, row in numbered:
+        if len(row) != len(header):
+            print(f"error: {path}:{lineno}: {len(row)} cells, the header has "
+                  f"{len(header)}", file=sys.stderr)
+            return 2
+    lines = [row for _, row in numbered]
+    widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
     for row in lines:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0

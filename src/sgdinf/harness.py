@@ -74,6 +74,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_q_and_n_sim(self)
+        if not self.estimators:
+            raise ValueError("scenario selects no estimators")
         StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
         for choice in self.estimators:
             if choice.kind == "bm":     # raises ScheduleError if infeasible
@@ -149,12 +151,8 @@ CSV_HEADER = "scenario,estimator,cov_rate_pct,avg_len,oracle_len,n_sim"
 
 # Every key a config may set, by where it appears.
 _TOP_KEYS = {"workers", "scenarios", "highdim"}
-_SCENARIO_KEYS = {"id", "model", "n", "n_sim", "seed", "alpha", "eta", "q",
-                  "estimators", "fixed_design", "oracle_mc_samples"}
 _MODEL_KEYS = {"kind", "design", "d", "rho", "x_star", "sigma"}
 _ESTIMATOR_KEYS = {"plugin", "batch_means", "oracle"}
-_HIGHDIM_KEYS = {"id", "n", "d", "s0", "seed", "n_sim", "coef_max", "design",
-                 "rho", "sigma", "q", "c_epoch", "c_lambda", "t_min", "r1_slack"}
 
 
 def _check_keys(cfg, allowed: set, where: str) -> dict:
@@ -168,6 +166,10 @@ def _check_keys(cfg, allowed: set, where: str) -> dict:
     return cfg
 
 
+def _parse_model(cfg: dict) -> models.ModelSpec:
+    return models.ModelSpec.from_config(_check_keys(cfg, _MODEL_KEYS, "model"))
+
+
 def _parse_estimators(cfg: dict) -> tuple:
     _check_keys(cfg, _ESTIMATOR_KEYS, "estimators")
     choices = []
@@ -177,9 +179,35 @@ def _parse_estimators(cfg: dict) -> tuple:
         choices.append(EstimatorChoice("bm", float(c)))
     if cfg.get("oracle", False):
         choices.append(EstimatorChoice("oracle"))
-    if not choices:
-        raise ConfigError("scenario selects no estimators")
     return tuple(choices)
+
+
+# The converter of every key a scenario entry may set. A key left out takes
+# its dataclass default; "id" fills the scenario_id field.
+_SCENARIO_FIELDS = {
+    "id": str, "model": _parse_model, "n": int, "n_sim": int, "seed": int,
+    "alpha": float, "eta": float, "q": float, "estimators": _parse_estimators,
+    "fixed_design": bool, "oracle_mc_samples": int}
+_HIGHDIM_FIELDS = {
+    "id": str, "n": int, "d": int, "s0": int, "seed": int, "n_sim": int,
+    "coef_max": float, "design": models.DesignKind, "rho": float,
+    "sigma": float, "q": float, "c_epoch": float, "c_lambda": float,
+    "t_min": int, "r1_slack": float}
+
+
+def _build(cls, cfg, fields: dict, where: str):
+    """A `cls` from the keys `cfg` sets, each through its converter; a value
+    its converter rejects is reported under its key."""
+    _check_keys(cfg, fields.keys(), where)
+    kwargs = {}
+    for key, value in cfg.items():
+        try:
+            kwargs["scenario_id" if key == "id" else key] = fields[key](value)
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def load_config(path) -> dict:
@@ -196,48 +224,14 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} must contain a mapping")
     _check_keys(raw, _TOP_KEYS, f"config file {path}")
     out = {"scenarios": [], "highdim": [], "workers": int(raw.get("workers", 1))}
-    for i, scn in enumerate(raw.get("scenarios", []) or []):
-        try:
-            _check_keys(scn, _SCENARIO_KEYS, "scenario")
-            model = models.ModelSpec.from_config(
-                _check_keys(scn["model"], _MODEL_KEYS, "model"))
-            out["scenarios"].append(ScenarioConfig(
-                scenario_id=str(scn["id"]),
-                model=model,
-                n=int(scn["n"]),
-                n_sim=int(scn["n_sim"]),
-                seed=int(scn["seed"]),
-                alpha=float(scn.get("alpha", 0.5)),
-                eta=float(scn["eta"]) if "eta" in scn else None,
-                q=float(scn.get("q", 0.05)),
-                estimators=_parse_estimators(scn.get("estimators", {})),
-                fixed_design=bool(scn.get("fixed_design", False)),
-                oracle_mc_samples=int(scn.get("oracle_mc_samples", 1_000_000)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: scenarios[{i}]: {exc}")
-    for i, scn in enumerate(raw.get("highdim", []) or []):
-        try:
-            _check_keys(scn, _HIGHDIM_KEYS, "highdim entry")
-            out["highdim"].append(HighDimScenario(
-                scenario_id=str(scn["id"]),
-                n=int(scn["n"]),
-                d=int(scn["d"]),
-                s0=int(scn["s0"]),
-                seed=int(scn["seed"]),
-                n_sim=int(scn["n_sim"]),
-                coef_max=float(scn.get("coef_max", 25.0)),
-                design=models.DesignKind(scn.get("design", "identity")),
-                rho=float(scn.get("rho", 0.0)),
-                sigma=float(scn.get("sigma", 1.0)),
-                q=float(scn.get("q", 0.05)),
-                c_epoch=float(scn.get("c_epoch", 1.0)),
-                c_lambda=float(scn.get("c_lambda", 1.0)),
-                t_min=int(scn.get("t_min", 8)),
-                r1_slack=float(scn.get("r1_slack", 1.1)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: highdim[{i}]: {exc}")
+    for section, cls, fields, where in (
+            ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
+            ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):
+        for i, scn in enumerate(raw.get(section, []) or []):
+            try:
+                out[section].append(_build(cls, scn, fields, where))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: {section}[{i}]: {exc}")
     return out
 
 

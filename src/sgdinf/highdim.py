@@ -290,10 +290,6 @@ class PrecisionEstimate:
     tau: np.ndarray      # (d,) positive scalars
     omega: np.ndarray    # (d, d)
 
-    @property
-    def dim(self) -> int:
-        return self.omega.shape[0]
-
 
 def build_omega(gammas: np.ndarray, taus: np.ndarray) -> PrecisionEstimate:
     """Assemble Omega = T C from node-wise coefficients and tau estimates."""
@@ -310,21 +306,20 @@ def build_omega(gammas: np.ndarray, taus: np.ndarray) -> PrecisionEstimate:
     return PrecisionEstimate(gamma=gammas, tau=taus, omega=omega)
 
 
-def debias(x_hat: np.ndarray, omega, D: np.ndarray, b: np.ndarray) -> np.ndarray:
+def debias(x_hat: np.ndarray, omega: np.ndarray, D: np.ndarray,
+           b: np.ndarray) -> np.ndarray:
     """One-step correction x_hat + (1/n) Omega D^T (b - D x_hat)."""
-    omega_m = omega.omega if isinstance(omega, PrecisionEstimate) else np.asarray(omega)
     n = D.shape[0]
     resid = b - D @ x_hat
-    return x_hat + omega_m @ (D.T @ resid) / n
+    return x_hat + omega @ (D.T @ resid) / n
 
 
-def highdim_ci(x_d: np.ndarray, omega, D: np.ndarray, sigma: float, q: float,
-               truth=None) -> CiReport:
+def highdim_ci(x_d: np.ndarray, omega: np.ndarray, D: np.ndarray, sigma: float,
+               q: float, truth=None) -> CiReport:
     """Intervals x_d_j ± z_{q/2}·sigma·sqrt((Omega A Omega^T)_jj / n)."""
-    omega_m = omega.omega if isinstance(omega, PrecisionEstimate) else np.asarray(omega)
     n = D.shape[0]
     a_hat = D.T @ D / n
-    quad = omega_m @ a_hat @ omega_m.T
+    quad = omega @ a_hat @ omega.T
     z = z_quantile(1.0 - q / 2.0)
     half = z * sigma * np.sqrt(np.maximum(np.diag(quad), 0.0) / n)
     return CiReport(q=q, center=np.asarray(x_d, float), half_width=half, truth=truth)
@@ -347,7 +342,7 @@ def fit_debiased_lasso(D: np.ndarray, b: np.ndarray, main_config: RadarConfig,
     gammas = nodewise_fit_all(D, node_config, r1_rows=node_r1_rows, s_rows=node_s_rows)
     taus = np.array([tau_hat(j, D, gammas[j]) for j in range(D.shape[1])])
     precision = build_omega(gammas, taus)
-    x_d = debias(x_hat, precision, D, b)
-    report = highdim_ci(x_d, precision, D, sigma, q, truth=truth)
+    x_d = debias(x_hat, precision.omega, D, b)
+    report = highdim_ci(x_d, precision.omega, D, sigma, q, truth=truth)
     return DebiasedLassoFit(x_hat=x_hat, x_debiased=x_d,
                             precision=precision, report=report)

@@ -1,9 +1,10 @@
 """Loss models for streaming inference: linear and logistic regression.
 
 A model bundles a covariate design (identity / Toeplitz / equi-correlated
-Gaussian), the true parameter vector, per-sample gradient and Hessian
-kernels, and the closed-form or Monte-Carlo oracle covariance used to
-benchmark the streaming estimators.
+Gaussian) and the true parameter vector. The loss enters only through its
+scalar derivatives ℓ′(t, b) and ℓ″(t, b) at the linear predictor t = aᵀx,
+from `derivatives`; the closed-form or Monte-Carlo oracle covariance
+benchmarks the streaming estimators.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class DesignSpec:
             raise InvalidDesignError(
                 f"rho must lie in [0, 1) for {self.kind.value}, got {self.rho}")
 
-    def to_config(self) -> dict:
-        return {"design": self.kind.value, "d": self.d, "rho": self.rho}
-
     @classmethod
     def from_config(cls, cfg: dict) -> "DesignSpec":
         return cls(kind=DesignKind(cfg["design"]), d=int(cfg["d"]),
@@ -94,12 +92,8 @@ def default_x_star(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A fully specified estimation problem.
-
-    kappa is the covariance-expansion order: 2 for the quadratic loss,
-    1 for logistic. sigma is the noise s.d. and only applies to the
-    linear model.
-    """
+    """A fully specified estimation problem. sigma is the noise s.d. and
+    only applies to the linear model."""
 
     kind: ModelKind
     design: DesignSpec
@@ -123,19 +117,8 @@ class ModelSpec:
         return self.design.d
 
     @property
-    def kappa(self) -> int:
-        return 2 if self.kind is ModelKind.LINEAR else 1
-
-    @property
     def xs(self) -> np.ndarray:
         return np.asarray(self.x_star)
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind.value, **self.design.to_config(),
-               "x_star": list(self.x_star)}
-        if self.sigma is not None:
-            cfg["sigma"] = self.sigma
-        return cfg
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ModelSpec":
@@ -151,12 +134,6 @@ class ModelSpec:
                    sigma=float(sigma) if sigma is not None else None)
 
 
-@dataclass
-class DataPoint:
-    a: np.ndarray
-    b: float
-
-
 def sigmoid(t):
     """Numerically stable 1/(1+exp(-t)); no overflow for any float input."""
     t = np.asarray(t, dtype=float)
@@ -168,19 +145,6 @@ def sigmoid(t):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def sample_point(model: ModelSpec, rng: np.random.Generator) -> DataPoint:
-    """Draw one (a, b) pair from the model distribution."""
-    factor = _design_cholesky(model.design)
-    z = rng.standard_normal(model.d)
-    a = z if model.design.kind is DesignKind.IDENTITY else factor @ z
-    if model.kind is ModelKind.LINEAR:
-        b = float(a @ model.xs + model.sigma * rng.standard_normal())
-    else:
-        p_plus = sigmoid(a @ model.xs)
-        b = 1.0 if rng.random() < p_plus else -1.0
-    return DataPoint(a=a, b=b)
 
 
 def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
@@ -208,33 +172,18 @@ def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
     return a, b
 
 
-# Per-sample loss, gradient and Hessian at a single data point.
+def derivatives(kind: ModelKind, t, b):
+    """(ℓ′, ℓ″) of the loss at linear predictor t and response b, elementwise.
 
-def loss(model: ModelSpec, x: np.ndarray, p: DataPoint) -> float:
-    t = p.a @ np.asarray(x, float)
-    if model.kind is ModelKind.LINEAR:
-        r = t - p.b
-        return 0.5 * r * r
-    return float(np.logaddexp(0.0, -p.b * t))
-
-
-def grad(model: ModelSpec, x: np.ndarray, p: DataPoint) -> np.ndarray:
-    t = p.a @ np.asarray(x, float)
-    if model.kind is ModelKind.LINEAR:
-        return (t - p.b) * p.a
-    return (-sigmoid(-p.b * t) * p.b) * p.a
-
-
-def hessian(model: ModelSpec, x: np.ndarray, p: DataPoint) -> np.ndarray:
-    if model.kind is ModelKind.LINEAR:
-        return np.outer(p.a, p.a)
-    t = p.a @ np.asarray(x, float)
-    return sigmoid(t) * sigmoid(-t) * np.outer(p.a, p.a)
-
-
-class OracleMethod(str, enum.Enum):
-    CLOSED_FORM = "closed_form"
-    MONTE_CARLO_HESSIAN = "monte_carlo_hessian"
+    Linear: ℓ = (t − b)²/2, so ℓ′ = t − b and ℓ″ = 1. Logistic, b = ±1:
+    ℓ = log(1 + e^{−bt}), so ℓ′ = −b·σ(−bt) and ℓ″ = σ(t)σ(−t).
+    """
+    t = np.asarray(t, dtype=float)
+    if kind is ModelKind.LINEAR:
+        return t - b, np.ones(np.broadcast(t, b).shape)
+    s_pos, s_neg = sigmoid(t), sigmoid(-t)
+    # σ(−bt) is σ(−t) where b = 1 and σ(t) where b = −1
+    return -b * np.where(b > 0, s_neg, s_pos), s_pos * s_neg
 
 
 @dataclass
@@ -243,7 +192,6 @@ class OracleCovariance:
     population Hessian A it was formed from."""
 
     matrix: np.ndarray
-    method: OracleMethod
     hessian: np.ndarray
 
     def __post_init__(self):
@@ -259,7 +207,8 @@ class OracleCovariance:
 def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
                        rng: np.random.Generator | None = None) -> np.ndarray:
     """A = ∇²F(x*): exact Σ for the linear model, Monte-Carlo mean of the
-    per-sample Hessian at x* for logistic."""
+    per-sample Hessian ℓ″·aaᵀ at x* for logistic (its ℓ″ does not depend
+    on b)."""
     if model.kind is ModelKind.LINEAR:
         return make_covariance(model.design)
     if rng is None:
@@ -274,8 +223,7 @@ def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
         a = rng.standard_normal((m, d))
         if model.design.kind is not DesignKind.IDENTITY:
             a = a @ factor.T
-        t = a @ model.xs
-        w = sigmoid(t) * sigmoid(-t)
+        _, w = derivatives(model.kind, a @ model.xs, 1.0)
         acc += (a * w[:, None]).T @ a
         remaining -= m
     return acc / mc_samples
@@ -291,13 +239,12 @@ def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
     """
     a = population_hessian(model, mc_samples=mc_samples, rng=rng)
     if model.kind is ModelKind.LINEAR:
-        matrix, method = model.sigma ** 2 * np.linalg.inv(a), OracleMethod.CLOSED_FORM
+        matrix = model.sigma ** 2 * np.linalg.inv(a)
     else:
         if np.linalg.cond(a) > 1e12:
             raise OracleError("Monte-Carlo Hessian is numerically singular")
-        matrix, method = np.linalg.inv(a), OracleMethod.MONTE_CARLO_HESSIAN
-    return OracleCovariance(matrix=0.5 * (matrix + matrix.T), method=method,
-                            hessian=a)
+        matrix = np.linalg.inv(a)
+    return OracleCovariance(matrix=0.5 * (matrix + matrix.T), hessian=a)
 
 
 def oracle_ci_length(oracle: OracleCovariance, j: int, n: int, q: float) -> float:

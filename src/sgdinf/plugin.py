@@ -13,27 +13,6 @@ from .estimates import CovarianceEstimate
 from .sgd import EstimatorSink
 
 
-def threshold_eigen(a_n: np.ndarray, lambda_a: float) -> np.ndarray:
-    """Clamp the eigenvalues of a symmetric matrix below at lambda_a/2.
-
-    Returns the input unchanged (up to a copy) when it already satisfies
-    A_n ⪰ (λ_A/2)·I, so the no-op case is exact.
-    """
-    a_n = np.asarray(a_n, dtype=float)
-    scale = max(1.0, float(np.abs(a_n).max()))
-    if np.abs(a_n - a_n.T).max() > 1e-8 * scale:
-        raise ValueError("threshold_eigen requires a symmetric matrix")
-    if lambda_a <= 0:
-        raise ValueError("lambda_a must be positive")
-    w, psi = np.linalg.eigh(0.5 * (a_n + a_n.T))
-    floor = lambda_a / 2.0
-    if w.min() >= floor:
-        return a_n.copy()
-    w_clamped = np.maximum(w, floor)
-    out = (psi * w_clamped) @ psi.T
-    return 0.5 * (out + out.T)
-
-
 class PluginAccumulator(EstimatorSink):
     """Streaming accumulator for A_n (Hessian mean) and S_n (gradient
     outer-product mean); finalize() yields Ã⁻¹ S_n Ã⁻¹."""

@@ -3,8 +3,9 @@
 run() makes one pass over fresh samples and keeps the (Polyak-Ruppert)
 average of the iterates. It walks the stream in chunks: inside a chunk
 only the sequential recursion runs, one scalar GLM derivative ℓ′(aᵀx, b)
-per iteration; at the end of the chunk it hands every registered sink the
-chunk's iterates, covariates and the scalar derivatives ℓ′ and ℓ″, from
+per iteration, inlined from models.derivatives; at the end of the chunk it
+hands every registered sink the chunk's iterates, covariates and the
+scalar derivatives ℓ′ and ℓ″ (the latter from models.derivatives), from
 which gradients ℓ′·a and Hessians ℓ″·aaᵀ follow.
 
 A chunk is split into Gram sub-blocks of _BLOCK rows. Since x_k =
@@ -69,7 +70,6 @@ class SgdState:
     n: int
     x: np.ndarray
     x_bar: np.ndarray
-    x0: np.ndarray
 
 
 class EstimatorSink:
@@ -136,9 +136,6 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
     if n < 1:
         raise ValueError("n must be >= 1")
     d = model.d
-    if x0 is None:
-        x0 = np.zeros(d)
-    x0 = np.asarray(x0, dtype=float).copy()
     sinks = list(sinks)
 
     if data is not None:
@@ -156,7 +153,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
     size = min(_CHUNK, n)
     # row 0 carries the iterate the chunk starts from, rows 1..m its iterates
     xs_buf = np.empty((size + 1, d))
-    xs_buf[0] = x0
+    xs_buf[0] = 0.0 if x0 is None else x0
     r_buf = np.empty(size)
     t_buf = np.empty(size)
     x_sum = np.zeros(d)
@@ -180,7 +177,8 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
                         b_blk[lo:hi].tolist(), steps[lo:hi].tolist())):
                     t = base - float(g.dot(c))
                     if logistic:
-                        # ℓ′ = −b·σ(−bt), in the form whose exp cannot overflow
+                        # models.derivatives' ℓ′ = −b·σ(−bt), in the form
+                        # whose exp cannot overflow
                         u = b * t
                         if u > 0:
                             e = exp(-u)
@@ -209,10 +207,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
                         raise DivergenceError(start + lo + int(bad[0]))
             xs, rs, ts = xs_buf[1:m + 1], r_buf[:m], t_buf[:m]
             x_sum += xs.sum(axis=0)
-            if logistic:
-                ws = models.sigmoid(ts) * models.sigmoid(-ts)
-            else:
-                ws = np.ones(m)
+            _, ws = models.derivatives(model.kind, ts, b_blk)
             for s in sinks:
                 s.observe(start, xs, a_blk, rs, ws)
             xs_buf[0] = xs_buf[m]
@@ -226,7 +221,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         except Exception as exc:  # collected per sink, reported together
             errors[type(s).__name__] = exc
             estimates.append(None)
-    state = SgdState(n=n, x=xs_buf[0].copy(), x_bar=x_bar.copy(), x0=x0)
+    state = SgdState(n=n, x=xs_buf[0].copy(), x_bar=x_bar.copy())
     if errors:
         raise SinkFinalizeError(errors)
     return state, estimates

@@ -186,19 +186,6 @@ class TestAccumulator:
         feed(acc, [4.0], start=3)
         assert acc.overall_mean[0] == 4.0
 
-    def test_diagonal_only_agrees_on_diagonal(self, rng):
-        n = 300
-        sched = make_schedule(n, 4, 0.5)
-        full = BatchMeansAccumulator(sched, 3)
-        diag = BatchMeansAccumulator(sched, 3, diagonal_only=True)
-        xs = rng.standard_normal((n, 3))
-        feed(full, xs, block=1)
-        feed(diag, xs, block=64)
-        f = full.finalize().matrix
-        g = diag.finalize().matrix
-        np.testing.assert_allclose(np.diag(g), np.diag(f), atol=1e-12)
-        assert np.abs(g - np.diag(np.diag(g))).max() == 0.0
-
     def test_memory_is_batch_bounded(self):
         # state must stay O(d*M), never O(n*d)
         n = 20000

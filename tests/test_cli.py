@@ -148,3 +148,22 @@ class TestReport:
     def test_missing_results_exit_2(self, tmp_path, capsys):
         rc = main(["report", "--results", str(tmp_path / "none.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ("a,b,c\n1,2,3\n\n4,5\n", ":4: 2 cells, the header has 3"),
+    ])
+    def test_malformed_results_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        rc = main(["report", "--results", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err
+
+    def test_directory_results_exit_2(self, tmp_path, capsys):
+        rc = main(["report", "--results", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err

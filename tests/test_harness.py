@@ -152,6 +152,22 @@ class TestConfig:
         assert "range.yaml" in message
         assert where in message
 
+    @pytest.mark.parametrize("where,old,new", [
+        ("scenarios[0]: n: invalid literal for int()", "    n: 2000", "    n: abc"),
+        ("scenarios[0]: model: 'kind'", "      kind: linear\n", ""),
+        ("highdim[0]: design: 'torus' is not a valid DesignKind",
+         "    coef_max: 10.0", "    coef_max: 10.0\n    design: torus"),
+    ])
+    def test_unconvertible_value_rejected_naming_file_and_field(
+            self, tmp_path, where, old, new):
+        path = tmp_path / "convert.yaml"
+        assert old in SMALL_YAML
+        path.write_text(SMALL_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "convert.yaml" in str(err.value)
+        assert where in str(err.value)
+
     def test_benchmark_config_loads(self, tmp_path, monkeypatch):
         # bench/run.py writes its own Table-1 config; it must stay loadable
         bench = Path(__file__).parent.parent / "bench"

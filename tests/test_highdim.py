@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdinf import highdim
 from sgdinf.highdim import (
     DegenerateResidualError,
     RadarConfig,
@@ -120,18 +121,29 @@ class TestRadarSolve:
         x_hat = radar_lasso(design, b, cfg)
         np.testing.assert_array_equal(x_hat, np.zeros(3))
 
-    def test_feasibility_of_every_iterate(self, rng):
+    def test_feasibility_of_every_iterate(self, rng, monkeypatch):
+        # r1 = 2 is below |x*|_1 = 5, so the ball binds: some ISTA offsets
+        # leave it and are scaled back onto its sphere
         design, b, _ = sparse_problem(rng, 400, 20, [3.0, -2.0], sigma=1.0)
-        cfg = RadarConfig(r1=6.0, s_bound=2, total_n=400)
+        cfg = RadarConfig(r1=2.0, s_bound=2, total_n=400)
         p, _ = lp_geometry(20)
-        violations = []
+        outside = []
+
+        def recording_scale(u, radii, p):
+            outside.append(bool((np.abs(u).sum(axis=1) > radii).any()))
+            scale_into_ball(u, radii, p)
+
+        monkeypatch.setattr(highdim, "scale_into_ball", recording_scale)
+        gaps = []
 
         def on_step(epoch, x, y):
-            violations.append(pball_norm(x - y, p) - epoch.radius)
+            gaps.append(pball_norm(x - y, p) - epoch.radius)
 
         radar_lasso(design, b, cfg, on_step=on_step)
-        assert violations
-        assert max(violations) <= 1e-9
+        assert any(outside)
+        gaps = np.array(gaps)
+        assert gaps.max() <= 1e-9
+        assert (np.abs(gaps) <= 1e-9).any()
 
     def test_epoch_error_decays(self, rng):
         design, b, x_star = sparse_problem(rng, 10_000, 500,
@@ -293,7 +305,7 @@ class TestOmegaAssembly:
         est = build_omega(gammas, taus)
         for j in range(4):
             assert est.omega[j, j] == 1.0 / taus[j]
-        assert est.dim == 4
+        assert est.omega.shape == (4, 4)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(DegenerateResidualError):

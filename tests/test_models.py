@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
-from sgdinf import models
 from sgdinf.models import (
-    DataPoint,
     DesignKind,
     DesignSpec,
     InvalidDesignError,
     ModelKind,
     ModelSpec,
     default_x_star,
-    grad,
-    hessian,
-    loss,
+    derivatives,
     make_covariance,
     oracle_ci_length,
     oracle_covariance,
-    sample_point,
+    sample_dataset,
     sigmoid,
 )
 
@@ -63,33 +59,29 @@ class TestMakeCovariance:
 
 
 class TestSampling:
-    def test_linear_zero_noise_response_exact(self):
+    def test_linear_zero_noise_response_exact(self, rng):
         # zero-noise degenerate case: b must equal a.x* exactly
         model = linear_model(d=3, sigma=0.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = sample_point(model, rng)
-            assert p.b == p.a @ model.xs
+        a, b = sample_dataset(model, 10, rng)
+        np.testing.assert_array_equal(b, a @ model.xs)
 
     def test_logistic_labels_are_plus_minus_one(self, rng):
-        model = logistic_model(d=4)
-        labels = {sample_point(model, rng).b for _ in range(200)}
-        assert labels <= {-1.0, 1.0}
+        _, b = sample_dataset(logistic_model(d=4), 200, rng)
+        assert set(b) <= {-1.0, 1.0}
 
     def test_logistic_symmetric_at_zero_truth(self, rng):
-        model = logistic_model(d=3, x_star=np.zeros(3))
-        b = np.array([sample_point(model, rng).b for _ in range(20000)])
+        _, b = sample_dataset(logistic_model(d=3, x_star=np.zeros(3)), 20000, rng)
         assert abs((b == 1).mean() - 0.5) < 0.02
 
     def test_identity_design_empirical_covariance(self, rng):
         model = linear_model(d=4)
-        a, _ = models.sample_dataset(model, 100000, rng)
+        a, _ = sample_dataset(model, 100000, rng)
         emp = a.T @ a / a.shape[0]
         assert np.abs(emp - np.eye(4)).max() < 0.05
 
     def test_toeplitz_design_empirical_covariance(self, rng):
         model = linear_model(d=4, design=DesignKind.TOEPLITZ, rho=0.5)
-        a, _ = models.sample_dataset(model, 100000, rng)
+        a, _ = sample_dataset(model, 100000, rng)
         emp = a.T @ a / a.shape[0]
         assert np.abs(emp - make_covariance(model.design)).max() < 0.05
 
@@ -98,96 +90,84 @@ class TestSampling:
         model = logistic_model(d=3, x_star=(0.4, -0.3, 0.8))
         a = np.array([1.2, 0.5, -0.7])
         fixed = np.tile(a, (100000, 1))
-        _, b = models.sample_dataset(model, 100000, rng, covariates=fixed)
+        _, b = sample_dataset(model, 100000, rng, covariates=fixed)
         want = sigmoid(a @ model.xs)
         assert abs((b == 1).mean() - want) < 0.01
 
     def test_fixed_covariates_reused(self, rng):
         model = linear_model(d=3)
         cov = rng.standard_normal((50, 3))
-        a, _ = models.sample_dataset(model, 50, rng, covariates=cov)
+        a, _ = sample_dataset(model, 50, rng, covariates=cov)
         assert a is cov
 
 
-class TestGradHessian:
+def reference_loss(kind, t, b):
+    """The loss the kernel differentiates, written independently of it."""
+    if kind is ModelKind.LINEAR:
+        return 0.5 * (t - b) ** 2
+    return np.logaddexp(0.0, -b * t)
+
+
+class TestDerivatives:
     def test_linear_zero_residual(self):
-        model = linear_model(d=3, sigma=0.0)
-        a = np.array([1.0, -2.0, 0.5])
-        p = DataPoint(a=a, b=float(a @ model.xs))
-        np.testing.assert_array_equal(grad(model, model.xs, p), np.zeros(3))
+        t = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(derivatives(ModelKind.LINEAR, t, t)[0],
+                                      np.zeros(3))
 
     def test_logistic_at_zero(self):
-        model = logistic_model(d=2, x_star=(1.0, 0.0))
-        p = DataPoint(a=np.array([1.0, 0.0]), b=1.0)
-        np.testing.assert_allclose(grad(model, np.zeros(2), p), [-0.5, 0.0])
+        # σ(0) = 1/2, so ℓ′ = −b/2
+        r, _ = derivatives(ModelKind.LOGISTIC, np.zeros(2), np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(r, [-0.5, 0.5])
 
-    def test_linear_hessian_outer_product(self):
-        model = linear_model(d=2)
-        p = DataPoint(a=np.array([1.0, 2.0]), b=0.3)
-        np.testing.assert_array_equal(hessian(model, np.zeros(2), p),
-                                      [[1.0, 2.0], [2.0, 4.0]])
+    def test_linear_second_derivative_is_one(self, rng):
+        _, w = derivatives(ModelKind.LINEAR, rng.standard_normal(5),
+                           rng.standard_normal(5))
+        np.testing.assert_array_equal(w, np.ones(5))
 
-    def test_logistic_hessian_at_zero(self):
-        model = logistic_model(d=2, x_star=(1.0, 1.0))
-        a = np.array([0.7, -1.1])
-        p = DataPoint(a=a, b=-1.0)
-        np.testing.assert_allclose(hessian(model, np.zeros(2), p),
-                                   np.outer(a, a) / 4.0)
+    def test_logistic_second_derivative_at_zero(self):
+        _, w = derivatives(ModelKind.LOGISTIC, np.zeros(2), np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(w, [0.25, 0.25])
 
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
-    def test_grad_matches_finite_difference(self, kind, rng):
-        d = 4
-        model = linear_model(d) if kind is ModelKind.LINEAR else logistic_model(d)
-        for _ in range(20):
-            x = rng.standard_normal(d)
-            p = sample_point(model, rng)
-            g = grad(model, x, p)
-            fd = np.empty(d)
-            h = 1e-6
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd[j] = (loss(model, x + e, p) - loss(model, x - e, p)) / (2 * h)
-            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
+    def test_first_derivative_matches_finite_difference(self, kind, rng):
+        t = 3.0 * rng.standard_normal(200)
+        b = (rng.standard_normal(200) if kind is ModelKind.LINEAR
+             else rng.choice([-1.0, 1.0], 200))
+        h = 1e-6
+        fd = (reference_loss(kind, t + h, b) - reference_loss(kind, t - h, b)) / (2 * h)
+        np.testing.assert_allclose(derivatives(kind, t, b)[0], fd,
+                                   rtol=1e-6, atol=1e-7)
 
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
-    def test_hessian_matches_grad_finite_difference(self, kind, rng):
-        d = 3
-        model = linear_model(d) if kind is ModelKind.LINEAR else logistic_model(d)
-        for _ in range(10):
-            x = rng.standard_normal(d)
-            p = sample_point(model, rng)
-            hess = hessian(model, x, p)
-            fd = np.empty((d, d))
-            h = 1e-5
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd[:, j] = (grad(model, x + e, p) - grad(model, x - e, p)) / (2 * h)
-            np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6)
+    def test_second_derivative_matches_first_finite_difference(self, kind, rng):
+        t = 3.0 * rng.standard_normal(200)
+        b = (rng.standard_normal(200) if kind is ModelKind.LINEAR
+             else rng.choice([-1.0, 1.0], 200))
+        h = 1e-5
+        fd = (derivatives(kind, t + h, b)[0] - derivatives(kind, t - h, b)[0]) / (2 * h)
+        np.testing.assert_allclose(derivatives(kind, t, b)[1], fd,
+                                   rtol=1e-5, atol=1e-6)
 
-    def test_hessian_symmetric_psd(self, rng):
-        for kind in (ModelKind.LINEAR, ModelKind.LOGISTIC):
-            model = linear_model(5) if kind is ModelKind.LINEAR else logistic_model(5)
-            for _ in range(10):
-                p = sample_point(model, rng)
-                hess = hessian(model, rng.standard_normal(5), p)
-                assert np.array_equal(hess, hess.T)
-                assert np.linalg.eigvalsh(hess).min() >= -1e-10
+    def test_second_derivative_is_convex_weight(self, rng):
+        # ℓ″·aaᵀ is positive semidefinite: 0 <= ℓ″, and ℓ″ <= 1/4 for logistic
+        t = 10.0 * rng.standard_normal(500)
+        _, w = derivatives(ModelKind.LOGISTIC, t, np.sign(t))
+        assert (w >= 0).all() and (w <= 0.25).all()
 
-    def test_sigmoid_extreme_arguments(self):
+    def test_extreme_arguments(self):
         assert sigmoid(10_000.0) == 1.0
         assert sigmoid(-10_000.0) == 0.0
-        assert np.isfinite(grad(logistic_model(1, x_star=(1e4,)),
-                                np.array([1e4]),
-                                DataPoint(np.array([1.0]), -1.0))).all()
+        t = np.array([-1e4, 1e4])
+        for b in (-1.0, 1.0):
+            r, w = derivatives(ModelKind.LOGISTIC, t, b)
+            assert np.isfinite(r).all() and np.isfinite(w).all()
+            assert set(np.abs(r)) == {0.0, 1.0}
 
 
 class TestOracle:
     def test_linear_identity(self):
         got = oracle_covariance(linear_model(d=4))
         np.testing.assert_allclose(got.matrix, np.eye(4), atol=1e-12)
-        assert got.method is models.OracleMethod.CLOSED_FORM
 
     def test_linear_toeplitz_tridiagonal_diag(self):
         got = oracle_covariance(linear_model(d=5, design=DesignKind.TOEPLITZ, rho=0.5))
@@ -211,7 +191,6 @@ class TestOracle:
         got = oracle_covariance(model, mc_samples=400_000,
                                 rng=np.random.default_rng(7))
         np.testing.assert_allclose(got.matrix, 4.0 * np.eye(3), atol=0.06)
-        assert got.method is models.OracleMethod.MONTE_CARLO_HESSIAN
 
     def test_noiseless_linear_oracle_is_zero(self):
         # sigma = 0 is a valid linear model; its sigma^2 Sigma^-1 vanishes
@@ -236,10 +215,6 @@ class TestOracle:
 
 
 class TestSpecValidation:
-    def test_kappa(self):
-        assert linear_model(3).kappa == 2
-        assert logistic_model(3).kappa == 1
-
     def test_sigma_required_for_linear(self):
         with pytest.raises(ValueError):
             ModelSpec(ModelKind.LINEAR, DesignSpec("identity", 2), (0.0, 1.0),
@@ -255,10 +230,13 @@ class TestSpecValidation:
             ModelSpec(ModelKind.LINEAR, DesignSpec("identity", 3), (0.0, 1.0),
                       sigma=1.0)
 
-    def test_config_round_trip(self):
-        model = linear_model(d=4, design=DesignKind.TOEPLITZ, rho=0.5)
-        again = ModelSpec.from_config(model.to_config())
-        assert again == model
+    def test_from_config_literal(self):
+        got = ModelSpec.from_config({"kind": "linear", "design": "toeplitz",
+                                     "d": 4, "rho": 0.5, "sigma": 1.0})
+        assert got == linear_model(d=4, design=DesignKind.TOEPLITZ, rho=0.5)
+        got = ModelSpec.from_config({"kind": "logistic", "design": "identity",
+                                     "d": 2, "x_star": [0.5, -1.0]})
+        assert got == logistic_model(d=2, x_star=(0.5, -1.0))
 
     def test_default_x_star_endpoints(self):
         xs = default_x_star(5)

@@ -3,39 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdinf.plugin import PluginAccumulator, threshold_eigen
-
-
-class TestThresholdEigen:
-    def test_above_threshold_unchanged_exactly(self):
-        a = np.eye(3)
-        out = threshold_eigen(a, 1.0)
-        assert np.array_equal(out, a)
-
-    def test_clamps_one_eigenvalue(self):
-        out = threshold_eigen(np.diag([0.1, 2.0]), 1.0)
-        np.testing.assert_allclose(out, np.diag([0.5, 2.0]), atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            threshold_eigen(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
-
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            threshold_eigen(np.eye(2), 0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 4.0))
-    def test_output_dominates_input_and_respects_floor(self, seed, lam):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((5, 5))
-        a = 0.5 * (m + m.T)
-        out = threshold_eigen(a, lam)
-        # thresholding only raises the spectrum
-        assert np.linalg.eigvalsh(out - a).min() >= -1e-10
-        assert np.linalg.eigvalsh(out).min() >= lam / 2 - 1e-10
-        # rotation-invariant construction keeps symmetry
-        assert np.abs(out - out.T).max() < 1e-12
+from sgdinf.plugin import PluginAccumulator
 
 
 def observe_rows(acc, start, a, r, w):
@@ -44,6 +12,52 @@ def observe_rows(acc, start, a, r, w):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     acc.observe(start, np.zeros_like(a), a, np.asarray(r, dtype=float),
                 np.asarray(w, dtype=float))
+
+
+class TestClamp:
+    """finalize() clamps the spectrum of A_n below at λ_A/2 before inverting."""
+
+    @staticmethod
+    def clamped(a_n, lam):
+        """Ã for a plug-in whose S_n = I and Hessian mean is a_n: rows
+        a_i = √d·q_i along the eigenvectors q_i of a_n, with weights w_i equal
+        to its eigenvalues and r_i = 1. Then finalize() returns Ã⁻², whose
+        inverse square root is Ã."""
+        d = len(a_n)
+        vals, vecs = np.linalg.eigh(a_n)
+        acc = PluginAccumulator(d, lambda_a=lam)
+        observe_rows(acc, 1, np.sqrt(d) * vecs.T, np.ones(d), vals)
+        est, basis = np.linalg.eigh(acc.finalize().matrix)
+        return (basis / np.sqrt(est)) @ basis.T
+
+    def test_clamps_one_eigenvalue(self):
+        # A_n = diag(0.1, 2), S_n = I, λ_A = 1: Ã = diag(0.5, 2) -> diag(4, 1/4)
+        acc = PluginAccumulator(2, lambda_a=1.0)
+        observe_rows(acc, 1, np.eye(2), [np.sqrt(2)] * 2, [0.2, 4.0])
+        np.testing.assert_allclose(acc.finalize().matrix, np.diag([4.0, 0.25]),
+                                   atol=1e-12)
+
+    def test_clamp_input_is_symmetric(self, rng):
+        # the spectrum is clamped on the symmetrized Hessian mean
+        acc = PluginAccumulator(4, lambda_a=1.0)
+        observe_rows(acc, 1, rng.standard_normal((37, 4)),
+                     rng.standard_normal(37), rng.uniform(-1.0, 2.0, 37))
+        assert np.array_equal(acc.a_n, acc.a_n.T)
+
+    def test_rejects_nonpositive_lambda(self):
+        with pytest.raises(ValueError):
+            PluginAccumulator(2, lambda_a=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 4.0))
+    def test_output_dominates_input_and_respects_floor(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((5, 5))
+        a = 0.5 * (m + m.T)
+        out = self.clamped(a, lam)
+        # thresholding only raises the spectrum
+        assert np.linalg.eigvalsh(out - a).min() >= -1e-9
+        assert np.linalg.eigvalsh(out).min() >= lam / 2 - 1e-9
 
 
 class TestPluginAccumulator:

@@ -182,6 +182,28 @@ class TestRun:
                 np.testing.assert_allclose(sink.stacked(3), want_r, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(sink.stacked(4), want_w, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", [models.ModelKind.LINEAR,
+                                      models.ModelKind.LOGISTIC])
+    def test_inlined_first_derivative_matches_kernel(self, kind, rng):
+        # run() inlines the scalar ℓ′ for speed; models.derivatives is the
+        # definition. With d = 1, x0 = 1 and steps of order 1e-300 the
+        # iterate stays at exactly 1, so the pre-step aᵀx is the covariate
+        # itself. math.exp and numpy's exp may differ by an ulp or so.
+        t = np.concatenate([
+            np.linspace(-700.0, 700.0, 2801), rng.uniform(-700.0, 700.0, 2000),
+            rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-10.0, 2.8, 1000)])
+        a = np.concatenate([t, t])[:, None]
+        b = np.repeat([-1.0, 1.0], t.size)
+        model = models.ModelSpec(kind, models.DesignSpec("identity", 1), (1.0,),
+                                 sigma=1.0 if kind is models.ModelKind.LINEAR else None)
+        sink = RecordingSink()
+        run(model, b.size, StepSchedule(1e-300, 0.5), x0=[1.0], sinks=[sink],
+            data=(a, b))
+        assert (sink.stacked(1) == 1.0).all()
+        want_r, want_w = models.derivatives(kind, a[:, 0], b)
+        np.testing.assert_allclose(sink.stacked(3), want_r, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(sink.stacked(4), want_w)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
            block_size=st.integers(1, 150), logistic=st.booleans())
