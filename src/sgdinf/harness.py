@@ -170,14 +170,28 @@ def _parse_model(cfg: dict) -> models.ModelSpec:
     return models.ModelSpec.from_config(_check_keys(cfg, _MODEL_KEYS, "model"))
 
 
+def _flag(value) -> bool:
+    """A YAML boolean; a string such as "false" or "no" is an error, not
+    a true value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _parse_estimators(cfg: dict) -> tuple:
     _check_keys(cfg, _ESTIMATOR_KEYS, "estimators")
+    flags = {}
+    for key in ("plugin", "oracle"):
+        try:
+            flags[key] = _flag(cfg.get(key, False))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     choices = []
-    if cfg.get("plugin", False):
+    if flags["plugin"]:
         choices.append(EstimatorChoice("plugin"))
     for c in cfg.get("batch_means", []) or []:
         choices.append(EstimatorChoice("bm", float(c)))
-    if cfg.get("oracle", False):
+    if flags["oracle"]:
         choices.append(EstimatorChoice("oracle"))
     return tuple(choices)
 
@@ -187,7 +201,7 @@ def _parse_estimators(cfg: dict) -> tuple:
 _SCENARIO_FIELDS = {
     "id": str, "model": _parse_model, "n": int, "n_sim": int, "seed": int,
     "alpha": float, "eta": float, "q": float, "estimators": _parse_estimators,
-    "fixed_design": bool, "oracle_mc_samples": int}
+    "fixed_design": _flag, "oracle_mc_samples": int}
 _HIGHDIM_FIELDS = {
     "id": str, "n": int, "d": int, "s0": int, "seed": int, "n_sim": int,
     "coef_max": float, "design": models.DesignKind, "rho": float,
@@ -223,7 +237,11 @@ def load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
     _check_keys(raw, _TOP_KEYS, f"config file {path}")
-    out = {"scenarios": [], "highdim": [], "workers": int(raw.get("workers", 1))}
+    try:
+        workers = int(raw.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: workers: {exc}") from None
+    out = {"scenarios": [], "highdim": [], "workers": workers}
     for section, cls, fields, where in (
             ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
             ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):

@@ -134,6 +134,17 @@ class TestConfigErrors:
         assert "badvalue.yaml" in err and f"{where}: " in err
         assert not out.exists()
 
+    def test_non_integer_workers_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "workers.yaml"
+        path.write_text(CONFIG.replace("workers: 2", "workers: two", 1))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "workers.yaml: workers: " in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_pretty_print(self, config_path, tmp_path, capsys):

@@ -168,6 +168,31 @@ class TestConfig:
         assert "convert.yaml" in str(err.value)
         assert where in str(err.value)
 
+    @pytest.mark.parametrize("key,old,new", [
+        ("estimators: plugin", "      plugin: true", '      plugin: "false"'),
+        ("estimators: oracle", "      oracle: true", '      oracle: "no"'),
+        ("fixed_design", "    q: 0.05", '    q: 0.05\n    fixed_design: "false"'),
+        ("fixed_design", "    q: 0.05", "    q: 0.05\n    fixed_design: 0"),
+    ])
+    def test_flag_must_be_yaml_boolean(self, tmp_path, key, old, new):
+        # a quoted "false" is a non-empty string, which bool() reads as true
+        path = tmp_path / "flags.yaml"
+        assert old in SMALL_YAML
+        path.write_text(SMALL_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "flags.yaml" in str(err.value)
+        assert f"scenarios[0]: {key}: expected true or false" in str(err.value)
+
+    def test_flags_load_as_given(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SMALL_YAML.replace(
+            "    q: 0.05", "    q: 0.05\n    fixed_design: true", 1).replace(
+            "      oracle: true", "      oracle: false", 1))
+        scn = load_config(path)["scenarios"][0]
+        assert scn.fixed_design is True
+        assert scn.labels == ("plugin", "bm-0.25")
+
     def test_benchmark_config_loads(self, tmp_path, monkeypatch):
         # bench/run.py writes its own Table-1 config; it must stay loadable
         bench = Path(__file__).parent.parent / "bench"

@@ -53,7 +53,9 @@ class RecordingSink(EstimatorSink):
 
 
 CHUNKS = (1, 7, sgd._CHUNK)
-BLOCKS = (1, 7, sgd._BLOCK)
+# The Gram sub-block sizes of the logistic loop (_BLOCK) and of the linear
+# solve (_LINEAR_BLOCK), set together.
+BLOCKS = ((1, 1), (7, 7), (sgd._BLOCK, sgd._LINEAR_BLOCK))
 
 
 def each_chunk(monkeypatch):
@@ -65,11 +67,13 @@ def each_chunk(monkeypatch):
 
 def each_engine(monkeypatch):
     """Set the engine's chunk and Gram sub-block sizes to each pair of
-    CHUNKS × BLOCKS in turn."""
+    CHUNKS × BLOCKS in turn; yields the chunk size, the logistic sub-block
+    size and the linear one."""
     for size in each_chunk(monkeypatch):
-        for block in BLOCKS:
+        for block, linear_block in BLOCKS:
             monkeypatch.setattr(sgd, "_BLOCK", block)
-            yield size, block
+            monkeypatch.setattr(sgd, "_LINEAR_BLOCK", linear_block)
+            yield size, block, linear_block
 
 
 class TestStepSchedule:
@@ -160,6 +164,36 @@ class TestRun:
             assert np.abs(state.x - ref[-1]).max() <= 1e-12
             assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= 1e-12
 
+    @pytest.mark.parametrize("eta", [0.5, 1.1])
+    @pytest.mark.parametrize("design", ["identity", "toeplitz"])
+    def test_linear_solve_matches_reference(self, eta, design, monkeypatch):
+        # n = 5000 is no multiple of the linear sub-block, of its piece or
+        # of the chunk: the second chunk holds 904 rows, which end in a
+        # ragged sub-block. Pieces of about 50 rows make many per chunk.
+        n, d = 5000, 5
+        model = models.ModelSpec(models.ModelKind.LINEAR,
+                                 models.DesignSpec(design, d, 0.5),
+                                 tuple(models.default_x_star(d)), sigma=1.0)
+        a, b = models.sample_dataset(model, n, np.random.default_rng(11))
+        x0 = np.array([3.0, -2.0, 0.5, 1.0, -1.5])
+        ref = reference_sgd_trace(model, a, b, eta=eta, alpha=0.5, x0=x0)
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        for block in (1, 7, sgd._LINEAR_BLOCK):
+            for piece in (50, sgd._LINEAR_PIECE):
+                monkeypatch.setattr(sgd, "_LINEAR_BLOCK", block)
+                monkeypatch.setattr(sgd, "_LINEAR_PIECE", piece)
+                trace = TraceSink(every=1)
+                state, _ = run(model, n, StepSchedule(eta, 0.5), x0=x0,
+                               sinks=[trace], data=(a, b))
+                assert np.abs(trace.trace - ref).max() <= tol
+                assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
+
+    @pytest.mark.parametrize("x0", [[2.0], np.zeros(6), np.zeros((5, 1))])
+    def test_x0_shape_checked(self, x0, rng):
+        with pytest.raises(ValueError, match=r"\(5,\)") as err:
+            run(linear_model(), 1, StepSchedule(0.5, 0.5), x0=x0, rng=rng)
+        assert str(np.shape(x0)) in str(err.value)
+
     def test_hessians_computed_only_when_needed(self, rng, monkeypatch):
         # The engine hands the sinks only the scalar weights w = ℓ″(aᵀx, b)
         # at the pre-step iterate; a d×d Hessian w·aaᵀ is formed only by a
@@ -206,19 +240,24 @@ class TestRun:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
-           block_size=st.integers(1, 150), logistic=st.booleans())
+           block_size=st.integers(1, 150),
+           linear_block=st.sampled_from((1, 7, sgd._LINEAR_BLOCK)),
+           logistic=st.booleans())
     def test_estimates_do_not_depend_on_chunk_size(self, seed, chunk_size,
-                                                   block_size, logistic):
+                                                   block_size, linear_block,
+                                                   logistic):
         n, d = 600, 3
         model = logistic_model(d=d) if logistic else linear_model(d=d)
         data = models.sample_dataset(model, n, np.random.default_rng(seed))
         out = []
-        for size, block in ((chunk_size, block_size), (sgd._CHUNK, sgd._BLOCK)):
+        for size, block, linear in ((chunk_size, block_size, linear_block),
+                                    (sgd._CHUNK, sgd._BLOCK, sgd._LINEAR_BLOCK)):
             sinks = [PluginAccumulator(d, lambda_a=0.1),
                      BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sgd, "_CHUNK", size)
                 mp.setattr(sgd, "_BLOCK", block)
+                mp.setattr(sgd, "_LINEAR_BLOCK", linear)
                 state, est = run(model, n, StepSchedule(0.7, 0.5), sinks=sinks,
                                  data=data)
             out.append((state.x_bar, est[0].matrix, est[1].matrix))
@@ -243,7 +282,7 @@ class TestRun:
             ref = reference_sgd_trace(model, a, b, eta=50.0, alpha=0.5)
             want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
         cumsum = np.cumsum
-        for _, block in each_engine(monkeypatch):
+        for _, _, block in each_engine(monkeypatch):
             # each cumulative sum rebuilds one sub-block's iterates
             rebuilt = []
 
@@ -261,6 +300,25 @@ class TestRun:
             # the run stops at the end of the sub-block holding iteration want
             assert want <= sum(rebuilt) < want + block
             # no sink ever sees a non-finite iterate
+            assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
+
+    @pytest.mark.parametrize("column", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_unusable_data_raises_divergence(self, column, value, monkeypatch):
+        # a non-finite value, or a covariate whose Gram entries overflow,
+        # stops the linear run at the straight loop's iteration
+        model = linear_model()
+        a, b = models.sample_dataset(model, 300, np.random.default_rng(2))
+        if column == "a":
+            a[150, 2] = value
+        else:
+            b[150] = value
+        for _ in each_engine(monkeypatch):
+            sink = RecordingSink()
+            with pytest.raises(DivergenceError) as err:
+                run(model, 300, StepSchedule(0.5, 0.5), sinks=[sink],
+                    data=(a, b))
+            assert err.value.iteration == 151
             assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
 
     def test_finalize_errors_collected(self, rng):
