@@ -166,8 +166,22 @@ def _check_keys(cfg, allowed: set, where: str) -> dict:
     return cfg
 
 
+def _integer(value) -> int:
+    """An integer; a boolean or a number with a fractional part is an
+    error, not 1, 0 or the number truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_model(cfg: dict) -> models.ModelSpec:
-    return models.ModelSpec.from_config(_check_keys(cfg, _MODEL_KEYS, "model"))
+    _check_keys(cfg, _MODEL_KEYS, "model")
+    try:
+        _integer(cfg.get("d", 0))
+    except ValueError as exc:
+        raise ValueError(f"d: {exc}") from None
+    return models.ModelSpec.from_config(cfg)
 
 
 def _flag(value) -> bool:
@@ -199,14 +213,15 @@ def _parse_estimators(cfg: dict) -> tuple:
 # The converter of every key a scenario entry may set. A key left out takes
 # its dataclass default; "id" fills the scenario_id field.
 _SCENARIO_FIELDS = {
-    "id": str, "model": _parse_model, "n": int, "n_sim": int, "seed": int,
-    "alpha": float, "eta": float, "q": float, "estimators": _parse_estimators,
-    "fixed_design": _flag, "oracle_mc_samples": int}
+    "id": str, "model": _parse_model, "n": _integer, "n_sim": _integer,
+    "seed": _integer, "alpha": float, "eta": float, "q": float,
+    "estimators": _parse_estimators, "fixed_design": _flag,
+    "oracle_mc_samples": _integer}
 _HIGHDIM_FIELDS = {
-    "id": str, "n": int, "d": int, "s0": int, "seed": int, "n_sim": int,
-    "coef_max": float, "design": models.DesignKind, "rho": float,
-    "sigma": float, "q": float, "c_epoch": float, "c_lambda": float,
-    "t_min": int, "r1_slack": float}
+    "id": str, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
+    "n_sim": _integer, "coef_max": float, "design": models.DesignKind,
+    "rho": float, "sigma": float, "q": float, "c_epoch": float,
+    "c_lambda": float, "t_min": _integer, "r1_slack": float}
 
 
 def _build(cls, cfg, fields: dict, where: str):
@@ -238,7 +253,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} must contain a mapping")
     _check_keys(raw, _TOP_KEYS, f"config file {path}")
     try:
-        workers = int(raw.get("workers", 1))
+        workers = _integer(raw.get("workers", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: workers: {exc}") from None
     out = {"scenarios": [], "highdim": [], "workers": workers}

@@ -181,9 +181,15 @@ def derivatives(kind: ModelKind, t, b):
     t = np.asarray(t, dtype=float)
     if kind is ModelKind.LINEAR:
         return t - b, np.ones(np.broadcast(t, b).shape)
-    s_pos, s_neg = sigmoid(t), sigmoid(-t)
-    # σ(−bt) is σ(−t) where b = 1 and σ(t) where b = −1
-    return -b * np.where(b > 0, s_neg, s_pos), s_pos * s_neg
+    # both sigmoids from one exp that cannot overflow, in the expressions
+    # `sigmoid` uses: σ(|t|) = 1/(1 + e) and σ(−|t|) = e/(1 + e)
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
+    s_big = 1.0 / denom
+    s_small = e / denom
+    # σ(−bt) is σ(−|t|) where the signs of b and t agree (t = ±0 counts as
+    # positive), and σ(|t|) where they differ
+    return -b * np.where((b > 0) == (t >= 0), s_small, s_big), s_big * s_small
 
 
 @dataclass

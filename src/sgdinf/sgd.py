@@ -7,25 +7,33 @@ registered sink the chunk's iterates, covariates and the scalar
 derivatives ℓ′ and ℓ″, from which gradients ℓ′·a and Hessians ℓ″·aaᵀ
 follow.
 
-A chunk is split into Gram sub-blocks. Since x_k = x_lo − Σ_{j≤k} c_j·a_j
-with c_j = γ_j·ℓ′(a_jᵀx_{j−1}, b_j), the pre-step value aᵀx of row k is
-a_kᵀx_lo minus row k of the sub-block's Gram matrix G dotted with the c
-before it. How c is found depends on the model:
+Inside a chunk no loop runs over the iterations. With
+c_k = γ_k·ℓ′(a_kᵀx_{k−1}, b_k), the iterates are x_k = x_lo − Σ_{j≤k} c_j·a_j,
+and the one engine solves the affine recursion c_k = γ̃_k·a_kᵀx_{k−1} + h_k.
+A chunk is cut into pieces of about _PIECE rows and each piece into
+sub-blocks of _SUB_BLOCK rows. In a sub-block with Gram matrix G, c solves
+the unit-lower-triangular system (I + Γ̃·tril(G, −1))·c = Γ̃·A·x_lo + h. One
+forward substitution, batched over the piece's sub-blocks, gives each c as
+W·x_lo + w, and with it the affine map from a sub-block's x_lo to the next
+one's. A scan of log₂(sub-blocks) batched products composes the maps, and
+one product gives every c.
 
-- Logistic: a CPython loop over the iterations of sub-blocks of _BLOCK
-  rows, one dot product and one scalar ℓ′ (inlined from
-  models.derivatives) per iteration.
-- Linear: ℓ′ = t − b, so c solves the unit-lower-triangular system
-  (I + Γ·tril(G, −1))·c = Γ·(A·x_lo − b), Γ = diag(γ). For each piece of
-  about _LINEAR_PIECE rows, one forward substitution, batched over its
-  sub-blocks of _LINEAR_BLOCK rows, gives each c as W·x_lo − w, and with it
-  the affine map from a sub-block's x_lo to the next one's. A loop over
-  sub-blocks, not iterations, applies the maps, and one product gives every
-  c. The pre-step values t, and so ℓ′, come from the rebuilt iterates.
+- Linear: ℓ′ = t − b is affine, so one solve with γ̃ = γ, h = −γ·b is exact.
+- Logistic: Newton's method on the whole trajectory of a piece. From the
+  pre-step values t = A·x_lo, each iteration linearises ℓ′ at the current t,
+  γ̃ = γ·ℓ″(t) and h = γ·(ℓ′(t) − ℓ″(t)·t), solves, and recomputes t from
+  the rebuilt iterates. It stops when the linearisation residual
+  |ℓ′(t_new) − ℓ′(t) − ℓ″(t)·(t_new − t)| is rounding next to its terms in
+  every row. The system is lower triangular, so the rows before the first
+  unsettled one are final. A piece still unsettled after _NEWTON_ITERS
+  iterations keeps those rows, and the first unsettled row stepped with its
+  exact ℓ′; the rest of its chunk goes on in pieces of half the size.
 
 Either way the iterates are rebuilt by a cumulative sum of −c_j·a_j, the
 same subtractions in the same order as the step-by-step recursion, and
-checked for divergence, so a diverging run stops within one sub-block.
+checked for divergence. A run reports the iteration at which the
+step-by-step recursion first leaves the finite range, and stops within the
+piece that holds it.
 """
 
 from __future__ import annotations
@@ -128,125 +136,189 @@ class TraceSink(EstimatorSink):
 
 # Iterations per block handed to the sinks. The buffers are O(_CHUNK·d).
 _CHUNK = 4096
-# Rows per Gram sub-block of the logistic loop: the sequential work of an
-# iteration is one dot product of length _BLOCK, and the sub-block's Gram
-# matrix adds O(_BLOCK²) memory. 64 keeps both small next to the
-# per-sub-block numpy calls it amortises.
-_BLOCK = 64
-# Rows per sub-block of the linear model's triangular solve, and rows per
-# piece of a chunk solved in one batch. A piece loops in CPython over the
-# _LINEAR_BLOCK rows of its sub-blocks and then over its sub-blocks; at
-# d = 5, 16 and 2048 measured fastest. The batch's arrays take
-# O(_LINEAR_PIECE·_LINEAR_BLOCK) memory; whole 4096-row chunks were faster
-# still but raised the peak memory of a run by about 1%.
-_LINEAR_BLOCK = 16
-_LINEAR_PIECE = 2048
+# Rows per sub-block of the triangular solve, and rows per piece of a chunk
+# solved in one batch. A piece loops in CPython over the _SUB_BLOCK rows of
+# its sub-blocks and then over log₂ of its sub-block count; at d = 5, 16
+# and 2048 measured fastest. The batch's arrays take O(_PIECE·_SUB_BLOCK)
+# memory.
+_SUB_BLOCK = 16
+_PIECE = 2048
+# Newton iterations a logistic piece may take before it is halved. Above
+# _SUB_BLOCK + 1, so that a piece of one sub-block always settles.
+_NEWTON_ITERS = 24
+# A linearisation residual within this many units of its terms, or below
+# the smallest normal float, is rounding.
+_NEWTON_TOL = 32 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _first_diverged(rows):
     """Index of the first row whose squared norm is not finite, or None."""
-    # such a row makes the total non-finite, so search the rows only then
-    if math.isfinite(np.vdot(rows, rows)):
+    # such a row makes the total non-finite, so search the rows only then.
+    # einsum, not a BLAS dot: on long inputs OpenBLAS wakes its threads,
+    # which compete with the pool's other worker processes for the CPUs
+    if math.isfinite(np.einsum("ij,ij->", rows, rows)):
         return None
     bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", rows, rows)))
     return int(bad[0]) if bad.size else None
 
 
-def _rebuild(rows, a, c, first: int) -> None:
-    """Overwrite rows[1:] with the iterates x_k = x_{k−1} − c_k·a_k that
-    follow rows[0], summed in the same order as the step-by-step recursion.
-    Raises DivergenceError naming iteration `first` + k when rebuilt row k
-    is the first whose squared norm is not finite."""
-    np.multiply(a, -c[:, None], out=rows[1:])
-    np.cumsum(rows, axis=0, out=rows)
+def _check(rows, first: int) -> None:
+    """Raise DivergenceError naming iteration `first` + k when rows[1 + k]
+    is the first of rows[1:] whose squared norm is not finite."""
     bad = _first_diverged(rows[1:])
     if bad is not None:
         raise DivergenceError(first + bad)
 
 
-def _logistic_chunk(xs_buf, a_blk, b_blk, steps, start: int):
-    """The logistic model's iterates of one chunk, xs_buf[1:m+1] from
-    xs_buf[0], by a loop over the iterations; returns ℓ′ and the pre-step
-    values t."""
+def _rebuild(rows, a, c) -> None:
+    """Overwrite rows[1:] with the iterates x_k = x_{k−1} − c_k·a_k that
+    follow rows[0], summed in the same order as the step-by-step recursion."""
+    np.multiply(a, -c[:, None], out=rows[1:])
+    np.cumsum(rows, axis=0, out=rows)
+
+
+def _pad(rows, count: int, size: int):
+    """rows, zero-padded to count·size rows and split into count sub-blocks
+    of size rows. A padded row has c = 0 and leaves the iterate as it is."""
+    out = np.zeros((count * size,) + rows.shape[1:])
+    out[:len(rows)] = rows
+    return out.reshape((count, size) + rows.shape[1:])
+
+
+def _solve(gram, coef, a_t, x_lo):
+    """Solve the affine recursion c_k = γ̃_k·a_kᵀx_{k−1} + h_k over the
+    sub-blocks of a piece that starts from the iterate x_lo.
+
+    Per sub-block, gram holds Γ̃·G with G = A·Aᵀ and Γ̃ = diag(γ̃), coef
+    holds [Γ̃A | −h] and a_t holds Aᵀ. Overwrites coef so that c = coef·lows[s]
+    in sub-block s, and returns lows: lows[s] = [x_s; −1] for the iterate x_s
+    that sub-block s starts from.
+    """
+    count, size, width = coef.shape
+    # (I + Γ̃·tril(G, −1))·coef = [Γ̃A | −h]: forward substitution, one row
+    # of every sub-block at a time, reads only the strictly lower triangle
+    for j in range(1, size):
+        coef[:, j] -= (gram[:, j:j + 1, :j] @ coef[:, :j])[:, 0]
+    # [x_hi; −1] = T·[x_lo; −1] with T = [[I | 0] − Aᵀ·coef; 0 … 0 1]
+    maps = np.zeros((count, width, width))
+    np.matmul(a_t, coef, out=maps[:, :-1])
+    np.negative(maps, out=maps)
+    eye = np.arange(width)
+    maps[:, eye, eye] += 1.0
+    # prefix products T_s·…·T_0 in log₂(count) steps (Hillis–Steele)
+    step = 1
+    while step < count:
+        maps[step:] = maps[step:] @ maps[:-step]
+        step *= 2
+    lows = np.empty((count + 1, width))
+    lows[0, :-1], lows[0, -1] = x_lo, -1.0
+    np.matmul(maps, lows[0], out=lows[1:])
+    return lows
+
+
+def _linear_piece(rows, a, b, gamma, first: int) -> int:
+    """The linear model's iterates rows[1:] of a piece, from rows[0]: the
+    one-step case γ̃ = γ, h = −γ·b, since ℓ′ = t − b. Returns the rows done,
+    fewer than len(b) only if a sub-block's end state diverged and its
+    rebuilt rows did not."""
+    k, d = a.shape
+    size = _SUB_BLOCK
+    count = -(-k // size)
+    ab = _pad(np.column_stack([a, b]), count, size)
+    gamma = _pad(gamma[:, None], count, size)
+    a_t = ab[..., :d].transpose(0, 2, 1)
+    gram = ab[..., :d] @ a_t
+    gram *= gamma
+    coef = gamma * ab
+    lows = _solve(gram, coef, a_t, rows[0])
+    # rebuild no further than the first sub-block whose end state has
+    # diverged; the next piece starts from the iterate the rebuild reached
+    bad = _first_diverged(lows[1:, :d])
+    if bad is not None:
+        count = bad + 1
+        k = min(k, count * size)
+    c = np.einsum("sbj,sj->sb", coef[:count], lows[:count]).ravel()[:k]
+    _rebuild(rows[:k + 1], a[:k], c)
+    _check(rows[:k + 1], first)
+    return k
+
+
+def _newton_piece(rows, a, b, gamma, first: int, r_out, w_out) -> int:
+    """The logistic model's iterates rows[1:] of a piece, from rows[0], by
+    Newton's method on the whole trajectory (see the module docstring);
+    writes ℓ′ and ℓ″ at the pre-step values into r_out and w_out. Returns the
+    rows settled: all of them, or fewer if _NEWTON_ITERS iterations left
+    some unsettled."""
+    k, d = a.shape
+    size = _SUB_BLOCK
+    count = -(-k // size)
+    a_pad = _pad(a, count, size)
+    a_t = a_pad.transpose(0, 2, 1)
+    gram = a_pad @ a_t
+    # buffers reused by every iteration; γ̃ and −h stay zero on padded rows
+    weight = np.zeros((count, size, 1))
+    scaled = np.empty_like(gram)
+    coef = np.zeros((count, size, d + 1))
+    logistic = models.ModelKind.LOGISTIC
+    t = np.einsum("ij,j->i", a, rows[0])   # no BLAS: see _first_diverged
+    r, w = models.derivatives(logistic, t, b)
+    for _ in range(_NEWTON_ITERS):
+        # ℓ′(t_new) ≈ ℓ′(t) + ℓ″(t)·(t_new − t): γ̃ = γ·ℓ″, h = γ·(ℓ′ − ℓ″·t)
+        np.multiply(gamma, w, out=weight.reshape(-1)[:k])
+        np.multiply(gram, weight, out=scaled)
+        np.multiply(a_pad, weight, out=coef[..., :d])
+        coef.reshape(-1, d + 1)[:k, d] = gamma * (w * t - r)
+        lows = _solve(scaled, coef, a_t, rows[0])
+        c = np.einsum("sbj,sj->sb", coef, lows[:-1]).ravel()[:k]
+        _rebuild(rows, a, c)
+        t_new = np.einsum("ij,ij->i", a, rows[:-1])
+        r_new, w_new = models.derivatives(logistic, t_new, b)
+        # the linearisation's error at the new pre-step values, against
+        # its terms (γ > 0 cancels); NaN fails
+        lin = w * (t_new - t)
+        err = np.abs(r_new - r - lin)
+        scale = np.abs(r_new) + np.abs(r) + np.abs(lin)
+        settled = err <= _NEWTON_TOL * scale + _TINY
+        t, r, w = t_new, r_new, w_new
+        if settled.all():
+            r_out[:], w_out[:] = r, w
+            _check(rows, first)
+            return k
+        # rows before the first unsettled row j follow the straight loop,
+        # and so does row j stepped with its exact ℓ′; a non-finite iterate
+        # among them is the straight loop's divergence
+        j = int(np.argmin(settled))
+        rows[j + 1] = rows[j] - (gamma[j] * r[j]) * a[j]
+        _check(rows[:j + 2], first)
+    r_out[:j + 1], w_out[:j + 1] = r[:j + 1], w[:j + 1]
+    return j + 1
+
+
+def _chunk(kind, xs_buf, a_blk, b_blk, steps, start: int):
+    """The iterates of one chunk, xs_buf[1:m+1] from xs_buf[0], with no
+    per-iteration loop (see the module docstring); returns ℓ′ and ℓ″ at the
+    pre-step values."""
     m = len(b_blk)
-    r_buf, t_buf = np.empty(m), np.empty(m)
-    exp = math.exp
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        a_sub = a_blk[lo:hi]
-        # t_k = a_kᵀx_lo − Σ_{j<k} (a_kᵀa_j)·c_j; c is zero from row k on
-        gram = a_sub @ a_sub.T
-        c = np.zeros(hi - lo)
-        r_sub, t_sub = [], []
-        for k, (g, base, b, gamma) in enumerate(zip(
-                gram, (a_sub @ xs_buf[lo]).tolist(),
-                b_blk[lo:hi].tolist(), steps[lo:hi].tolist())):
-            t = base - float(g.dot(c))
-            # models.derivatives' ℓ′ = −b·σ(−bt), in the form whose exp
-            # cannot overflow
-            u = b * t
-            if u > 0:
-                e = exp(-u)
-                r = -b * e / (1.0 + e)
-            else:
-                r = -b / (1.0 + exp(u))
-            c[k] = gamma * r
-            r_sub.append(r)
-            t_sub.append(t)
-        r_buf[lo:hi] = r_sub
-        t_buf[lo:hi] = t_sub
-        _rebuild(xs_buf[lo:hi + 1], a_sub, c, start + lo)
-    return r_buf, t_buf
-
-
-def _linear_chunk(xs_buf, a_blk, b_blk, steps, start: int):
-    """The linear model's iterates of one chunk, xs_buf[1:m+1] from
-    xs_buf[0], with no per-iteration loop (see the module docstring);
-    returns the pre-step values t, from the rebuilt iterates."""
-    m, d = a_blk.shape
-    size = _LINEAR_BLOCK
-    piece = max(_LINEAR_PIECE // size, 1) * size
-    eye = np.arange(d)
+    logistic = kind is models.ModelKind.LOGISTIC
+    piece = max(_PIECE // _SUB_BLOCK, 1) * _SUB_BLOCK
+    r, w = np.empty(m), np.empty(m)
     lo = 0
     while lo < m:
-        k = min(piece, m - lo)
-        count = -(-k // size)
-        # [A | b] and γ, zero-padded to whole sub-blocks: a padded row has
-        # c = 0 and leaves the iterate as it is
-        ab = np.zeros((count * size, d + 1))
-        ab[:k, :d] = a_blk[lo:lo + k]
-        ab[:k, d] = b_blk[lo:lo + k]
-        gamma = np.zeros(count * size)
-        gamma[:k] = steps[lo:lo + k]
-        ab = ab.reshape(count, size, d + 1)
-        gamma = gamma.reshape(count, size, 1)
-        a_t = ab[..., :d].transpose(0, 2, 1)
-        # (I + Γ·tril(G, −1))·[W | w] = Γ·[A | b], so c = [W | w]·[x_lo; −1]:
-        # forward substitution, one row of every sub-block at a time, reads
-        # only the strictly lower triangle of ΓG
-        gram = ab[..., :d] @ a_t
-        gram *= gamma
-        coef = gamma * ab
-        for j in range(1, size):
-            coef[:, j] -= (gram[:, j:j + 1, :j] @ coef[:, :j])[:, 0]
-        # x_hi = x_lo − Aᵀc = T·[x_lo; −1] with T = [I | 0] − Aᵀ[W | w]
-        maps = -(a_t @ coef)
-        maps[:, eye, eye] += 1.0
-        lows = np.empty((count + 1, d + 1))
-        lows[:, d] = -1.0
-        lows[0, :d] = xs_buf[lo]
-        for s in range(count):
-            np.dot(maps[s], lows[s], out=lows[s + 1, :d])
-        # rebuild no further than the first sub-block whose end state has
-        # diverged; the next piece starts from the iterate the rebuild reached
-        bad = _first_diverged(lows[1:, :d])
-        if bad is not None:
-            count = bad + 1
-            k = min(k, count * size)
-        c = np.einsum("sbj,sj->sb", coef[:count], lows[:count]).ravel()[:k]
-        _rebuild(xs_buf[lo:lo + k + 1], a_blk[lo:lo + k], c, start + lo)
-        lo += k
-    return np.einsum("ij,ij->i", a_blk, xs_buf[:m])
+        hi = min(lo + piece, m)
+        args = (xs_buf[lo:hi + 1], a_blk[lo:hi], b_blk[lo:hi], steps[lo:hi],
+                start + lo)
+        if not logistic:
+            lo += _linear_piece(*args)
+            continue
+        done = _newton_piece(*args, r[lo:hi], w[lo:hi])
+        if done < hi - lo:
+            piece = max(piece // 2, _SUB_BLOCK)
+        lo += done
+    if logistic:
+        return r, w
+    return models.derivatives(kind, np.einsum("ij,ij->i", a_blk, xs_buf[:m]),
+                              b_blk)
 
 
 def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
@@ -279,7 +351,6 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             raise ValueError("either rng or data must be provided")
         a_all, b_all = models.sample_dataset(model, n, rng)
 
-    logistic = model.kind is models.ModelKind.LOGISTIC
     size = min(_CHUNK, n)
     # row 0 carries the iterate the chunk starts from, rows 1..m its iterates
     xs_buf = np.empty((size + 1, d))
@@ -292,12 +363,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             a_blk = a_all[start - 1:start - 1 + m]
             b_blk = b_all[start - 1:start - 1 + m]
             steps = schedule.step(np.arange(start, start + m, dtype=float))
-            if logistic:
-                rs, ts = _logistic_chunk(xs_buf, a_blk, b_blk, steps, start)
-                _, ws = models.derivatives(model.kind, ts, b_blk)
-            else:
-                ts = _linear_chunk(xs_buf, a_blk, b_blk, steps, start)
-                rs, ws = models.derivatives(model.kind, ts, b_blk)
+            rs, ws = _chunk(model.kind, xs_buf, a_blk, b_blk, steps, start)
             xs = xs_buf[1:m + 1]
             x_sum += xs.sum(axis=0)
             for s in sinks:

@@ -184,6 +184,41 @@ class TestConfig:
         assert "flags.yaml" in str(err.value)
         assert f"scenarios[0]: {key}: expected true or false" in str(err.value)
 
+    @pytest.mark.parametrize("key,old,new", [
+        ("workers", "workers: 1", "workers: {}"),
+        ("scenarios[0]: n", "    n: 2000", "    n: {}"),
+        ("scenarios[0]: n_sim", "    n_sim: 4", "    n_sim: {}"),
+        ("scenarios[0]: seed", "    seed: 11", "    seed: {}"),
+        ("scenarios[0]: oracle_mc_samples", "    q: 0.05",
+         "    q: 0.05\n    oracle_mc_samples: {}"),
+        ("scenarios[0]: model: d", "      d: 3", "      d: {}"),
+        ("highdim[0]: n", "    n: 60", "    n: {}"),
+        ("highdim[0]: d", "    d: 12", "    d: {}"),
+        ("highdim[0]: s0", "    s0: 2", "    s0: {}"),
+        ("highdim[0]: seed", "    seed: 5", "    seed: {}"),
+        ("highdim[0]: n_sim", "    n_sim: 3", "    n_sim: {}"),
+        ("highdim[0]: t_min", "    coef_max: 10.0",
+         "    coef_max: 10.0\n    t_min: {}"),
+    ])
+    @pytest.mark.parametrize("value", ["4.9", "true"])
+    def test_integer_key_rejects_fraction_and_boolean(self, tmp_path, key, old,
+                                                      new, value):
+        # int() would truncate 4.9 to 4 and read true as 1
+        path = tmp_path / "ints.yaml"
+        assert SMALL_YAML.count(old) == 1
+        path.write_text(SMALL_YAML.replace(old, new.format(value)))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "ints.yaml" in str(err.value)
+        want = "4.9" if value == "4.9" else "True"
+        assert f"{key}: expected an integer, got {want}" in str(err.value)
+
+    def test_integral_float_loads_as_integer(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SMALL_YAML.replace("    n_sim: 4", "    n_sim: 4.0", 1))
+        scn = load_config(path)["scenarios"][0]
+        assert scn.n_sim == 4 and isinstance(scn.n_sim, int)
+
     def test_flags_load_as_given(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(SMALL_YAML.replace(

@@ -154,6 +154,21 @@ class TestDerivatives:
         _, w = derivatives(ModelKind.LOGISTIC, t, np.sign(t))
         assert (w >= 0).all() and (w <= 0.25).all()
 
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    def test_logistic_bits_match_two_sigmoids(self, b, rng):
+        # The kernel takes both sigmoids from one exp(−|t|); they are bit for
+        # bit those of the two masked `sigmoid` calls it replaced, including
+        # signed zeros, subnormal-scale t and t past exp's range
+        t = np.concatenate([
+            10.0 * rng.standard_normal(4000), rng.uniform(-800.0, 800.0, 4000),
+            [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0]])
+        s_pos, s_neg = sigmoid(t), sigmoid(-t)
+        want_r = -b * np.where(b > 0, s_neg, s_pos)
+        r, w = derivatives(ModelKind.LOGISTIC, t, np.full(t.size, b))
+        np.testing.assert_array_equal(r.view(np.int64), want_r.view(np.int64))
+        np.testing.assert_array_equal(w.view(np.int64),
+                                      (s_pos * s_neg).view(np.int64))
+
     def test_extreme_arguments(self):
         assert sigmoid(10_000.0) == 1.0
         assert sigmoid(-10_000.0) == 0.0

@@ -53,9 +53,8 @@ class RecordingSink(EstimatorSink):
 
 
 CHUNKS = (1, 7, sgd._CHUNK)
-# The Gram sub-block sizes of the logistic loop (_BLOCK) and of the linear
-# solve (_LINEAR_BLOCK), set together.
-BLOCKS = ((1, 1), (7, 7), (sgd._BLOCK, sgd._LINEAR_BLOCK))
+# Sub-block sizes of the triangular solve.
+BLOCKS = (1, 7, sgd._SUB_BLOCK)
 
 
 def each_chunk(monkeypatch):
@@ -66,14 +65,12 @@ def each_chunk(monkeypatch):
 
 
 def each_engine(monkeypatch):
-    """Set the engine's chunk and Gram sub-block sizes to each pair of
-    CHUNKS × BLOCKS in turn; yields the chunk size, the logistic sub-block
-    size and the linear one."""
+    """Set the engine's chunk and sub-block sizes to each pair of
+    CHUNKS × BLOCKS in turn; yields the chunk size and the sub-block size."""
     for size in each_chunk(monkeypatch):
-        for block, linear_block in BLOCKS:
-            monkeypatch.setattr(sgd, "_BLOCK", block)
-            monkeypatch.setattr(sgd, "_LINEAR_BLOCK", linear_block)
-            yield size, block, linear_block
+        for block in BLOCKS:
+            monkeypatch.setattr(sgd, "_SUB_BLOCK", block)
+            yield size, block
 
 
 class TestStepSchedule:
@@ -178,15 +175,68 @@ class TestRun:
         x0 = np.array([3.0, -2.0, 0.5, 1.0, -1.5])
         ref = reference_sgd_trace(model, a, b, eta=eta, alpha=0.5, x0=x0)
         tol = 1e-12 * max(1.0, np.abs(ref).max())
-        for block in (1, 7, sgd._LINEAR_BLOCK):
-            for piece in (50, sgd._LINEAR_PIECE):
-                monkeypatch.setattr(sgd, "_LINEAR_BLOCK", block)
-                monkeypatch.setattr(sgd, "_LINEAR_PIECE", piece)
+        for block in BLOCKS:
+            for piece in (50, sgd._PIECE):
+                monkeypatch.setattr(sgd, "_SUB_BLOCK", block)
+                monkeypatch.setattr(sgd, "_PIECE", piece)
                 trace = TraceSink(every=1)
                 state, _ = run(model, n, StepSchedule(eta, 0.5), x0=x0,
                                sinks=[trace], data=(a, b))
                 assert np.abs(trace.trace - ref).max() <= tol
                 assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("design", ["identity", "toeplitz"])
+    def test_logistic_newton_matches_reference(self, eta, design,
+                                               monkeypatch):
+        # n = 5000 is no multiple of the sub-block, of the piece or of the
+        # chunk. Steps of 20/sqrt(i) make Newton on a whole piece stall, so
+        # the engine must halve the piece.
+        n, d = 5000, 5
+        model = logistic_model(design, d=d)
+        a, b = models.sample_dataset(model, n, np.random.default_rng(11))
+        x0 = np.array([3.0, -2.0, 0.5, 1.0, -1.5])
+        ref = reference_sgd_trace(model, a, b, eta=eta, alpha=0.5, x0=x0)
+        tol = 1e-12 * max(1.0, np.abs(ref).max())
+        newton_piece = sgd._newton_piece
+        defaults = (sgd._SUB_BLOCK, sgd._PIECE)
+        for block in BLOCKS:
+            for piece in (50, sgd._PIECE):
+                monkeypatch.setattr(sgd, "_SUB_BLOCK", block)
+                monkeypatch.setattr(sgd, "_PIECE", piece)
+                pieces = []
+
+                def recording(rows, a, *args):
+                    settled = newton_piece(rows, a, *args)
+                    pieces.append((len(a), settled))
+                    return settled
+
+                monkeypatch.setattr(sgd, "_newton_piece", recording)
+                trace = TraceSink(every=1)
+                state, _ = run(model, n, StepSchedule(eta, 0.5), x0=x0,
+                               sinks=[trace], data=(a, b))
+                assert np.abs(trace.trace - ref).max() <= tol
+                assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
+                if eta == 20.0 and (block, piece) == defaults:
+                    # the first unsettled piece, and the halved one after it
+                    i = next(i for i, (k, done) in enumerate(pieces)
+                             if done < k)
+                    assert pieces[i + 1][0] <= pieces[i][0] // 2
+
+    @pytest.mark.parametrize("eta", [100.0, 1e4])
+    def test_logistic_large_steps_raise_no_false_divergence(self, eta):
+        # At such η the linearised trajectory of a piece overflows before
+        # Newton settles; no divergence may be reported from its unsettled
+        # rows, since the straight loop's iterates stay finite
+        n = 5000
+        model = logistic_model("identity", d=5)
+        a, b = models.sample_dataset(model, n, np.random.default_rng(11))
+        with np.errstate(over="ignore"):
+            ref = reference_sgd_trace(model, a, b, eta=eta, alpha=0.5)
+        assert np.isfinite(ref).all()
+        trace = TraceSink(every=1)
+        run(model, n, StepSchedule(eta, 0.5), sinks=[trace], data=(a, b))
+        assert np.isfinite(trace.trace).all()
 
     @pytest.mark.parametrize("x0", [[2.0], np.zeros(6), np.zeros((5, 1))])
     def test_x0_shape_checked(self, x0, rng):
@@ -218,11 +268,11 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", [models.ModelKind.LINEAR,
                                       models.ModelKind.LOGISTIC])
-    def test_inlined_first_derivative_matches_kernel(self, kind, rng):
-        # run() inlines the scalar ℓ′ for speed; models.derivatives is the
-        # definition. With d = 1, x0 = 1 and steps of order 1e-300 the
+    def test_sinks_get_kernel_derivatives(self, kind, rng):
+        # The sinks get models.derivatives at the pre-step values, out to
+        # |t| = 700. With d = 1, x0 = 1 and steps of order 1e-300 the
         # iterate stays at exactly 1, so the pre-step aᵀx is the covariate
-        # itself. math.exp and numpy's exp may differ by an ulp or so.
+        # itself.
         t = np.concatenate([
             np.linspace(-700.0, 700.0, 2801), rng.uniform(-700.0, 700.0, 2000),
             rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-10.0, 2.8, 1000)])
@@ -235,29 +285,28 @@ class TestRun:
             data=(a, b))
         assert (sink.stacked(1) == 1.0).all()
         want_r, want_w = models.derivatives(kind, a[:, 0], b)
-        np.testing.assert_allclose(sink.stacked(3), want_r, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(sink.stacked(3), want_r)
         np.testing.assert_array_equal(sink.stacked(4), want_w)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
-           block_size=st.integers(1, 150),
-           linear_block=st.sampled_from((1, 7, sgd._LINEAR_BLOCK)),
+           block_size=st.integers(1, 40), piece=st.integers(1, 600),
            logistic=st.booleans())
     def test_estimates_do_not_depend_on_chunk_size(self, seed, chunk_size,
-                                                   block_size, linear_block,
+                                                   block_size, piece,
                                                    logistic):
         n, d = 600, 3
         model = logistic_model(d=d) if logistic else linear_model(d=d)
         data = models.sample_dataset(model, n, np.random.default_rng(seed))
         out = []
-        for size, block, linear in ((chunk_size, block_size, linear_block),
-                                    (sgd._CHUNK, sgd._BLOCK, sgd._LINEAR_BLOCK)):
+        for size, block, rows in ((chunk_size, block_size, piece),
+                                  (sgd._CHUNK, sgd._SUB_BLOCK, sgd._PIECE)):
             sinks = [PluginAccumulator(d, lambda_a=0.1),
                      BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sgd, "_CHUNK", size)
-                mp.setattr(sgd, "_BLOCK", block)
-                mp.setattr(sgd, "_LINEAR_BLOCK", linear)
+                mp.setattr(sgd, "_SUB_BLOCK", block)
+                mp.setattr(sgd, "_PIECE", rows)
                 state, est = run(model, n, StepSchedule(0.7, 0.5), sinks=sinks,
                                  data=data)
             out.append((state.x_bar, est[0].matrix, est[1].matrix))
@@ -282,7 +331,7 @@ class TestRun:
             ref = reference_sgd_trace(model, a, b, eta=50.0, alpha=0.5)
             want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
         cumsum = np.cumsum
-        for _, _, block in each_engine(monkeypatch):
+        for _, block in each_engine(monkeypatch):
             # each cumulative sum rebuilds one sub-block's iterates
             rebuilt = []
 
@@ -302,24 +351,50 @@ class TestRun:
             # no sink ever sees a non-finite iterate
             assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
 
-    @pytest.mark.parametrize("column", ["a", "b"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
-    def test_unusable_data_raises_divergence(self, column, value, monkeypatch):
+    # A finite value of 1e200 is a case for the linear model alone: a
+    # logistic response is ±1 and its loss reads only the sign, and a
+    # logistic covariate of 1e200 has its own test below.
+    @pytest.mark.parametrize("kind,column,value", [
+        (kind, column, value) for kind in ("linear", "logistic")
+        for column in ("a", "b") for value in (np.nan, np.inf, 1e200)
+        if kind == "linear" or value != 1e200])
+    def test_unusable_data_raises_divergence(self, kind, column, value,
+                                             monkeypatch):
         # a non-finite value, or a covariate whose Gram entries overflow,
-        # stops the linear run at the straight loop's iteration
-        model = linear_model()
+        # stops the run at the straight loop's iteration: the first iterate
+        # of the reference trace whose squared norm is not finite
+        model = linear_model() if kind == "linear" else logistic_model(d=5)
         a, b = models.sample_dataset(model, 300, np.random.default_rng(2))
         if column == "a":
             a[150, 2] = value
         else:
             b[150] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_sgd_trace(model, a, b, eta=0.5, alpha=0.5)
+            want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
         for _ in each_engine(monkeypatch):
             sink = RecordingSink()
             with pytest.raises(DivergenceError) as err:
                 run(model, 300, StepSchedule(0.5, 0.5), sinks=[sink],
                     data=(a, b))
-            assert err.value.iteration == 151
+            assert err.value.iteration == want == 151
             assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
+
+    def test_logistic_steps_over_huge_covariate(self, monkeypatch):
+        # With a covariate of 1e200, b·aᵀx is about 8e199 at iteration 151,
+        # so ℓ′ is exactly 0 there: the straight loop leaves the iterate as
+        # it is and goes on, and so must the engine, though the Gram entries
+        # of that row overflow
+        model = logistic_model(d=5)
+        a, b = models.sample_dataset(model, 300, np.random.default_rng(2))
+        a[150, 2] = 1e200
+        with np.errstate(over="ignore"):
+            ref = reference_sgd_trace(model, a, b, eta=0.5, alpha=0.5)
+        assert np.isfinite(ref).all()
+        for _ in each_engine(monkeypatch):
+            trace = TraceSink(every=1)
+            run(model, 300, StepSchedule(0.5, 0.5), sinks=[trace], data=(a, b))
+            assert np.abs(trace.trace - ref).max() <= 1e-12
 
     def test_finalize_errors_collected(self, rng):
         class Broken(RecordingSink):
