@@ -32,6 +32,7 @@ from .sgd import DivergenceError, StepSchedule, run
 _DESIGN_TAG = 0xD351
 _XSTAR_TAG = 0x57A2
 _ORACLE_TAG = 0x0AC1
+_R1_SLACK = 1.1     # high-dimensional l1 radii over the true l1 norms
 
 
 class ConfigError(ValueError):
@@ -105,10 +106,7 @@ class HighDimScenario:
     rho: float = 0.0
     sigma: float = 1.0
     q: float = 0.05
-    c_epoch: float = 1.0
-    c_lambda: float = 1.0
     t_min: int = 8
-    r1_slack: float = 1.1
     # The model is linear, so its oracle is closed-form and draws nothing.
     oracle_mc_samples: ClassVar[int] = 0
     labels: ClassVar[tuple] = ("debiased-s0", "debiased-s0c")
@@ -175,12 +173,30 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A finite number; a boolean, nan or inf is an error, not 1.0, 0.0 or
+    a value no computation can use."""
+    if isinstance(value, bool) or not np.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _under(key: str, convert, value):
+    """convert(value), with a value it rejects reported under `key`."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _parse_model(cfg: dict) -> models.ModelSpec:
     _check_keys(cfg, _MODEL_KEYS, "model")
-    try:
-        _integer(cfg.get("d", 0))
-    except ValueError as exc:
-        raise ValueError(f"d: {exc}") from None
+    _under("d", _integer, cfg.get("d", 0))
+    for key in ("rho", "sigma"):
+        if cfg.get(key) is not None:
+            _under(key, _real, cfg[key])
+    for value in cfg.get("x_star") or ():
+        _under("x_star", _real, value)
     return models.ModelSpec.from_config(cfg)
 
 
@@ -194,17 +210,13 @@ def _flag(value) -> bool:
 
 def _parse_estimators(cfg: dict) -> tuple:
     _check_keys(cfg, _ESTIMATOR_KEYS, "estimators")
-    flags = {}
-    for key in ("plugin", "oracle"):
-        try:
-            flags[key] = _flag(cfg.get(key, False))
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+    flags = {key: _under(key, _flag, cfg.get(key, False))
+             for key in ("plugin", "oracle")}
     choices = []
     if flags["plugin"]:
         choices.append(EstimatorChoice("plugin"))
     for c in cfg.get("batch_means", []) or []:
-        choices.append(EstimatorChoice("bm", float(c)))
+        choices.append(EstimatorChoice("bm", _under("batch_means", _real, c)))
     if flags["oracle"]:
         choices.append(EstimatorChoice("oracle"))
     return tuple(choices)
@@ -214,14 +226,13 @@ def _parse_estimators(cfg: dict) -> tuple:
 # its dataclass default; "id" fills the scenario_id field.
 _SCENARIO_FIELDS = {
     "id": str, "model": _parse_model, "n": _integer, "n_sim": _integer,
-    "seed": _integer, "alpha": float, "eta": float, "q": float,
+    "seed": _integer, "alpha": _real, "eta": _real, "q": _real,
     "estimators": _parse_estimators, "fixed_design": _flag,
     "oracle_mc_samples": _integer}
 _HIGHDIM_FIELDS = {
     "id": str, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
-    "n_sim": _integer, "coef_max": float, "design": models.DesignKind,
-    "rho": float, "sigma": float, "q": float, "c_epoch": float,
-    "c_lambda": float, "t_min": _integer, "r1_slack": float}
+    "n_sim": _integer, "coef_max": _real, "design": models.DesignKind,
+    "rho": _real, "sigma": _real, "q": _real, "t_min": _integer}
 
 
 def _build(cls, cfg, fields: dict, where: str):
@@ -234,7 +245,7 @@ def _build(cls, cfg, fields: dict, where: str):
             kwargs["scenario_id" if key == "id" else key] = fields[key](value)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     return cls(**kwargs)
 
@@ -358,16 +369,14 @@ def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
     node_r1, node_s = _nodewise_truth(model.design)
     try:
         main_cfg = RadarConfig(
-            r1=scn.r1_slack * float(np.abs(model.xs).sum()), s_bound=scn.s0,
-            total_n=scn.n, c_epoch=scn.c_epoch, c_lambda=scn.c_lambda,
-            t_min=scn.t_min)
+            r1=_R1_SLACK * float(np.abs(model.xs).sum()), s_bound=scn.s0,
+            total_n=scn.n, t_min=scn.t_min)
         node_cfg = RadarConfig(
-            r1=scn.r1_slack * float(np.max(node_r1)),
-            s_bound=int(np.max(node_s)), total_n=scn.n, c_epoch=scn.c_epoch,
-            c_lambda=scn.c_lambda, t_min=scn.t_min)
+            r1=_R1_SLACK * float(np.max(node_r1)), s_bound=int(np.max(node_s)),
+            total_n=scn.n, t_min=scn.t_min)
         fit = fit_debiased_lasso(
             design, b, main_cfg, node_cfg, scn.sigma, scn.q, truth=model.xs,
-            node_r1_rows=scn.r1_slack * node_r1, node_s_rows=node_s)
+            node_r1_rows=_R1_SLACK * node_r1, node_s_rows=node_s)
     except (DegenerateResidualError, RadarConfigError) as exc:
         return ReplicationResult(index=rep_index, ok=False, error=str(exc))
     active = np.arange(scn.d) < scn.s0

@@ -2,11 +2,12 @@
 
 Pipeline: a multi-epoch annealed solver for l1-regularized least squares
 (radii R_i = R_{i-1}/sqrt(2), per-epoch regularization from
-lambda_i^2 = c * R_i * sqrt(log d) / (s * sqrt(T)), feasible sets
+lambda_i^2 = R_i * sqrt(log d) / (s * sqrt(T)), feasible sets
 ||x - y_i||_p <= R_i with p = 2L/(2L-1), L = max(log d, 1)), node-wise
 regressions for every coordinate to assemble a precision-matrix estimate
 Omega = T C, a one-step debiasing correction, and per-coordinate normal
-confidence intervals.
+confidence intervals. Everything after the two solves reads only the
+sufficient statistics G = D^T D / n and c = D^T b / n.
 
 The solver consumes each sample exactly once, follow-the-leader style: the
 stream is folded into running second-moment statistics (Gram and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import CiReport, z_quantile
+from .inference import CiReport, confidence_interval
 
 
 class RadarConfigError(ValueError):
@@ -47,9 +48,8 @@ _TINY = np.finfo(float).tiny
 
 
 def lp_geometry(dim: int):
-    """(p, q) exponents for the ball geometry in dimension `dim`."""
-    log_d = max(math.log(max(dim, 2)), 1.0)
-    q = 2.0 * log_d
+    """(p, q) exponents for the ball geometry in dimension `dim`; q/2 = max(log d, 1)."""
+    q = 2.0 * max(math.log(max(dim, 2)), 1.0)
     p = q / (q - 1.0)
     return p, q
 
@@ -85,9 +85,8 @@ class RadarConfig:
     """Solver parameters.
 
     r1 bounds ||x* - y_1||_1 from above; s_bound is the assumed sparsity;
-    total_n the sample budget. c_epoch scales the theoretical epoch length
-    c_epoch*s^2*log(d)/R_i^2 and t_min floors it while radii are large;
-    c_lambda multiplies the squared-regularization rule.
+    total_n the sample budget. t_min floors the theoretical epoch length
+    s^2*log(d)/R_i^2 while radii are large.
 
     t_min should grow with log(d) when the budget allows (around 16 for
     d in the several hundreds): radii halve every epoch regardless of
@@ -98,8 +97,6 @@ class RadarConfig:
     r1: float
     s_bound: int
     total_n: int
-    c_epoch: float = 1.0
-    c_lambda: float = 1.0
     t_min: int = 8
 
     def __post_init__(self):
@@ -117,19 +114,18 @@ class Epoch:
 def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
     """Split the budget into epochs with R_{i+1} = R_i/sqrt(2).
 
-    Epoch i gets max(t_min, ceil(c_epoch*s^2*log(d)/R_i^2)) samples; the
-    leftover budget is absorbed into the final epoch (also when the epoch
-    cap is hit). Raises when the budget cannot cover the first epoch.
+    Epoch i gets max(t_min, ceil(s^2*log(d)/R_i^2)) samples; the leftover
+    budget is absorbed into the final epoch (also when the epoch cap is
+    hit). Raises when the budget cannot cover the first epoch.
     """
-    log_d = max(math.log(max(dim, 2)), 1.0)
+    log_d = lp_geometry(dim)[1] / 2.0
     s = max(config.s_bound, 1)
     radius = config.r1
     epochs: list[Epoch] = []
     used = 0
     while used < config.total_n:
         if radius > 0:
-            t_i = max(config.t_min,
-                      math.ceil(config.c_epoch * s * s * log_d / radius ** 2))
+            t_i = max(config.t_min, math.ceil(s * s * log_d / radius ** 2))
         else:
             t_i = config.t_min
         if used + t_i > config.total_n or len(epochs) == MAX_EPOCHS:
@@ -159,7 +155,7 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     at least 1, and |u|_p <= |u|_1 for p >= 1. Epoch lengths follow
     `config`; radii (default config.r1) and sparsities
     (default config.s_bound) are per row, with
-    lam_k^2 = c_lambda * R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
+    lam_k^2 = R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
 
     fixed[k], when given, is a coordinate of row k held at zero; the ball
     geometry is then that of the d-1 free coordinates. A row of radius 0
@@ -178,8 +174,7 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     if fixed is not None:
         fixed = np.asarray(fixed)
     dim = d if fixed is None else d - 1
-    p, _ = lp_geometry(dim)
-    log_d = max(math.log(max(dim, 2)), 1.0)
+    p, q = lp_geometry(dim)
 
     y = np.zeros((k, d))
     gram_sum = np.zeros((d, d))
@@ -195,7 +190,7 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
             gram = gram_sum / seen
             lip = float(np.linalg.eigvalsh(gram).max())
             if lip > 0.0:
-                lam = np.sqrt(config.c_lambda * radii[live] * math.sqrt(log_d)
+                lam = np.sqrt(radii[live] * math.sqrt(q / 2.0)
                               / (s_rows[live] * math.sqrt(seen)))
                 _sweep(y, live, gram, lip, cross_sum.T[live] / seen,
                        lam[:, None] / lip, radii[live], fixed, p, ep, on_step)
@@ -271,15 +266,16 @@ def nodewise_fit_all(D: np.ndarray, config: RadarConfig,
     return y[~np.eye(d, dtype=bool)].reshape(d, d - 1)
 
 
-def tau_hat(j: int, D: np.ndarray, gamma_j: np.ndarray) -> float:
-    """Estimate of 1/Omega_jj: (1/n)(D_j - D_{-j} gamma_j)^T D_j."""
-    n = D.shape[0]
-    d_j = D[:, j]
-    resid = d_j - np.delete(D, j, axis=1) @ gamma_j
-    val = float(resid @ d_j) / n
-    if val <= 0:
-        raise DegenerateResidualError(f"tau_hat_{j} = {val:.3e} <= 0")
-    return val
+def tau_hat(gram: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Estimates of 1/Omega_jj for every j at once from G = D^T D / n:
+    tau_j = G_jj - G_{j,-j} gamma_j, the mean of (D_j - D_{-j} gamma_j) D_j."""
+    off = gram[~np.eye(len(gram), dtype=bool)].reshape(gammas.shape)
+    taus = np.diag(gram) - np.einsum("jk,jk->j", off, gammas)
+    bad = np.flatnonzero(taus <= 0)
+    if bad.size:
+        j = bad[0]
+        raise DegenerateResidualError(f"tau_hat_{j} = {taus[j]:.3e} <= 0")
+    return taus
 
 
 @dataclass
@@ -299,30 +295,23 @@ def build_omega(gammas: np.ndarray, taus: np.ndarray) -> PrecisionEstimate:
     if np.any(taus <= 0):
         raise DegenerateResidualError("all tau_j must be positive")
     c = np.eye(d)
-    for j in range(d):
-        mask = np.arange(d) != j
-        c[j, mask] = -gammas[j]
+    c[~np.eye(d, dtype=bool)] = -gammas.ravel()
     omega = c / taus[:, None]
     return PrecisionEstimate(gamma=gammas, tau=taus, omega=omega)
 
 
-def debias(x_hat: np.ndarray, omega: np.ndarray, D: np.ndarray,
-           b: np.ndarray) -> np.ndarray:
-    """One-step correction x_hat + (1/n) Omega D^T (b - D x_hat)."""
-    n = D.shape[0]
-    resid = b - D @ x_hat
-    return x_hat + omega @ (D.T @ resid) / n
+def debias(x_hat: np.ndarray, omega: np.ndarray, gram: np.ndarray,
+           cross: np.ndarray) -> np.ndarray:
+    """One-step correction x_hat + Omega (c - G x_hat), with G = D^T D / n and
+    c = D^T b / n: the same as x_hat + (1/n) Omega D^T (b - D x_hat)."""
+    return x_hat + omega @ (cross - gram @ x_hat)
 
 
-def highdim_ci(x_d: np.ndarray, omega: np.ndarray, D: np.ndarray, sigma: float,
-               q: float, truth=None) -> CiReport:
-    """Intervals x_d_j ± z_{q/2}·sigma·sqrt((Omega A Omega^T)_jj / n)."""
-    n = D.shape[0]
-    a_hat = D.T @ D / n
-    quad = omega @ a_hat @ omega.T
-    z = z_quantile(1.0 - q / 2.0)
-    half = z * sigma * np.sqrt(np.maximum(np.diag(quad), 0.0) / n)
-    return CiReport(q=q, center=np.asarray(x_d, float), half_width=half, truth=truth)
+def highdim_ci(x_d: np.ndarray, omega: np.ndarray, gram: np.ndarray, n: int,
+               sigma: float, q: float, truth=None) -> CiReport:
+    """Intervals x_d_j ± z_{q/2}·sigma·sqrt((Omega G Omega^T)_jj / n)."""
+    return confidence_interval(x_d, sigma ** 2 * omega @ gram @ omega.T, n, q,
+                               truth=truth)
 
 
 @dataclass
@@ -337,12 +326,13 @@ def fit_debiased_lasso(D: np.ndarray, b: np.ndarray, main_config: RadarConfig,
                        node_config: RadarConfig, sigma: float, q: float,
                        truth=None, node_r1_rows=None, node_s_rows=None) -> DebiasedLassoFit:
     """Full pipeline on stored data: main fit, d node-wise fits replaying
-    the same stream, Omega assembly, debiasing, intervals."""
+    the same stream, then Omega, debiasing and intervals from G and c alone."""
     x_hat = radar_lasso(D, b, main_config)
     gammas = nodewise_fit_all(D, node_config, r1_rows=node_r1_rows, s_rows=node_s_rows)
-    taus = np.array([tau_hat(j, D, gammas[j]) for j in range(D.shape[1])])
-    precision = build_omega(gammas, taus)
-    x_d = debias(x_hat, precision.omega, D, b)
-    report = highdim_ci(x_d, precision.omega, D, sigma, q, truth=truth)
+    n = len(b)
+    gram, cross = D.T @ D / n, D.T @ b / n
+    precision = build_omega(gammas, tau_hat(gram, gammas))
+    x_d = debias(x_hat, precision.omega, gram, cross)
+    report = highdim_ci(x_d, precision.omega, gram, n, sigma, q, truth=truth)
     return DebiasedLassoFit(x_hat=x_hat, x_debiased=x_d,
                             precision=precision, report=report)

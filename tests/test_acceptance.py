@@ -308,7 +308,8 @@ def test_c10_highdim_coverage_and_ols_identity():
     b = rng.standard_normal(120)
     omega = np.linalg.inv(design.T @ design / 120)
     ols = np.linalg.lstsq(design, b, rcond=None)[0]
-    out = debias(rng.standard_normal(20), omega, design, b)
+    out = debias(rng.standard_normal(20), omega, design.T @ design / 120,
+                 design.T @ b / 120)
     ols_dev = float(np.abs(out - ols).max() / max(1.0, np.abs(ols).max()))
 
     clauses = [

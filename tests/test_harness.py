@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sgdinf import harness, models
+from sgdinf.cli import main
 from sgdinf.highdim import DegenerateResidualError
 from sgdinf.harness import (
     AggregateRow,
@@ -113,6 +114,8 @@ class TestConfig:
          "      batch_means: [0.25]", "      batch_mean: [0.25]"),
         ("highdim[0]: unknown key(s) coef_maxx in highdim entry",
          "    coef_max: 10.0", "    coef_maxx: 10.0"),
+        ("highdim[0]: unknown key(s) r1_slack in highdim entry",
+         "    coef_max: 10.0", "    r1_slack: 1.1\n    coef_max: 10.0"),
     ])
     def test_unknown_key_rejected_naming_file_and_field(self, tmp_path, where,
                                                         old, new):
@@ -212,6 +215,40 @@ class TestConfig:
         assert "ints.yaml" in str(err.value)
         want = "4.9" if value == "4.9" else "True"
         assert f"{key}: expected an integer, got {want}" in str(err.value)
+
+    @pytest.mark.parametrize("key,old,new", [
+        ("scenarios[0]: alpha", "    alpha: 0.5", "    alpha: {}"),
+        ("scenarios[0]: eta", "    eta: 0.5", "    eta: {}"),
+        ("scenarios[0]: q", "    q: 0.05", "    q: {}"),
+        ("scenarios[0]: estimators: batch_means", "      batch_means: [0.25]",
+         "      batch_means: [0.25, {}]"),
+        ("scenarios[0]: model: rho", "      d: 3", "      d: 3\n      rho: {}"),
+        ("scenarios[0]: model: sigma", "      sigma: 1.0", "      sigma: {}"),
+        ("scenarios[0]: model: x_star", "      d: 3",
+         "      d: 3\n      x_star: [0.0, {}, 1.0]"),
+        ("highdim[0]: coef_max", "    coef_max: 10.0", "    coef_max: {}"),
+        ("highdim[0]: rho", "    coef_max: 10.0", "    coef_max: 10.0\n    rho: {}"),
+        ("highdim[0]: sigma", "    coef_max: 10.0",
+         "    coef_max: 10.0\n    sigma: {}"),
+        ("highdim[0]: q", "    coef_max: 10.0", "    coef_max: 10.0\n    q: {}"),
+    ])
+    @pytest.mark.parametrize("value,shown", [("true", "True"), (".nan", "nan"),
+                                             (".inf", "inf")])
+    def test_float_key_rejects_boolean_and_non_finite(self, tmp_path, capsys, key,
+                                                      old, new, value, shown):
+        # float() would read true as 1.0 and pass nan or inf on to the run
+        path = tmp_path / "reals.yaml"
+        assert SMALL_YAML.count(old) == 1
+        path.write_text(SMALL_YAML.replace(old, new.format(value)))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = f"{key}: expected a finite number, got {shown}"
+        assert "reals.yaml" in str(err.value) and message in str(err.value)
+        command = "simulate" if key.startswith("scenarios") else "highdim-simulate"
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_loads_as_integer(self, tmp_path):
         path = tmp_path / "cfg.yaml"

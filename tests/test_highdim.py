@@ -267,23 +267,36 @@ class TestBatchedSolver:
             assert not together[np.arange(len(rows)), fixed[rows]].any()
 
 
+def gram_of(design):
+    return design.T @ design / design.shape[0]
+
+
 class TestTauHat:
     def test_zero_gamma_second_moment(self, rng):
         design = rng.standard_normal((10_000, 4))
-        g = np.zeros(3)
+        taus = tau_hat(gram_of(design), np.zeros((4, 3)))
         for j in range(4):
-            tau = tau_hat(j, design, g)
-            assert tau == pytest.approx((design[:, j] ** 2).mean())
-            assert 0.95 <= tau <= 1.05
+            assert taus[j] == pytest.approx((design[:, j] ** 2).mean())
+            assert 0.95 <= taus[j] <= 1.05
 
     def test_single_row_hand_arithmetic(self):
-        design = np.array([[2.0, 1.0]])
-        assert tau_hat(0, design, np.array([0.5])) == pytest.approx(3.0)
+        # G = [[4, 2], [2, 1]]: tau_0 = 4 - 2 * 0.5 and tau_1 = 1 - 2 * 0
+        taus = tau_hat(gram_of(np.array([[2.0, 1.0]])), np.array([[0.5], [0.0]]))
+        assert taus[0] == pytest.approx(3.0)
+        assert taus[1] == pytest.approx(1.0)
 
     def test_nonpositive_rejected(self):
         design = np.array([[1.0, 2.0], [1.0, 2.2]])
-        with pytest.raises(DegenerateResidualError):
-            tau_hat(0, design, np.array([2.0]))
+        with pytest.raises(DegenerateResidualError,
+                           match=r"^tau_hat_0 = -3\.200e\+00 <= 0$"):
+            tau_hat(gram_of(design), np.array([[2.0], [0.0]]))
+
+    def test_names_first_nonpositive_coordinate(self):
+        # tau_1 = 1 - 2 and tau_2 = 1 - 3 are both negative; j = 1 is named
+        gammas = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(DegenerateResidualError,
+                           match=r"^tau_hat_1 = -1\.000e\+00 <= 0$"):
+            tau_hat(np.ones((3, 3)), gammas)
 
 
 class TestOmegaAssembly:
@@ -325,8 +338,7 @@ class TestOmegaAssembly:
                 design = local.standard_normal((n, 10)) @ factor.T
                 cfg = RadarConfig(r1=float(r1.max()), s_bound=2, total_n=n)
                 gammas = nodewise_fit_all(design, cfg, r1_rows=1.1 * r1)
-                taus = np.array([tau_hat(j, design, gammas[j]) for j in range(10)])
-                est = build_omega(gammas, taus)
+                est = build_omega(gammas, tau_hat(gram_of(design), gammas))
                 vals.append(np.abs(est.omega - est.omega.T).max())
             asym[n] = np.median(vals)
         assert asym[6400] < asym[400]
@@ -337,7 +349,7 @@ class TestDebias:
         design = rng.standard_normal((50, 4))
         x_hat = rng.standard_normal(4)
         b = design @ x_hat
-        out = debias(x_hat, np.eye(4), design, b)
+        out = debias(x_hat, np.eye(4), gram_of(design), design.T @ b / 50)
         np.testing.assert_allclose(out, x_hat, atol=1e-12)
 
     def test_exact_inverse_recovers_ols(self, rng):
@@ -349,7 +361,7 @@ class TestDebias:
         ols = np.linalg.lstsq(design, b, rcond=None)[0]
         for _ in range(3):
             x_hat = rng.standard_normal(d)
-            out = debias(x_hat, omega, design, b)
+            out = debias(x_hat, omega, gram_of(design), design.T @ b / n)
             np.testing.assert_allclose(out, ols, rtol=1e-8, atol=1e-8)
 
 
@@ -361,13 +373,16 @@ class TestHighdimCi:
         # force A_hat = I exactly by whitening
         a_hat = design.T @ design / n
         design = design @ np.linalg.inv(np.linalg.cholesky(a_hat)).T
-        report = highdim_ci(np.zeros(d), np.eye(d), design, sigma=1.0, q=0.05)
+        report = highdim_ci(np.zeros(d), np.eye(d), gram_of(design), n,
+                            sigma=1.0, q=0.05)
         np.testing.assert_allclose(report.half_width, 0.195996, atol=1e-5)
 
     def test_sigma_scaling(self, rng):
         design = rng.standard_normal((80, 3))
-        r1 = highdim_ci(np.zeros(3), np.eye(3), design, sigma=1.0, q=0.05)
-        r2 = highdim_ci(np.zeros(3), np.eye(3), design, sigma=2.0, q=0.05)
+        r1 = highdim_ci(np.zeros(3), np.eye(3), gram_of(design), 80, sigma=1.0,
+                        q=0.05)
+        r2 = highdim_ci(np.zeros(3), np.eye(3), gram_of(design), 80, sigma=2.0,
+                        q=0.05)
         np.testing.assert_allclose(r2.half_width, 2 * r1.half_width)
 
     def test_uses_transposed_quadratic_form(self, rng):
@@ -376,7 +391,7 @@ class TestHighdimCi:
         omega = np.array([[1.0, 3.0], [0.0, 1.0]])
         a_hat = design.T @ design / 200
         want = np.diag(omega @ a_hat @ omega.T)
-        report = highdim_ci(np.zeros(2), omega, design, sigma=1.0, q=0.05)
+        report = highdim_ci(np.zeros(2), omega, a_hat, 200, sigma=1.0, q=0.05)
         z = 1.959964
         np.testing.assert_allclose(report.half_width,
                                    z * np.sqrt(want / 200), rtol=1e-6)
@@ -398,3 +413,41 @@ class TestPipeline:
         raw = np.abs(fit.x_hat - x_star)[:s0].max()
         deb = np.abs(fit.x_debiased - x_star)[:s0].max()
         assert deb < raw + 0.5
+
+    def test_tail_equals_stored_data_formulas(self, rng):
+        # The tail reads only G and c; recompute every stage from D with
+        # the per-coordinate formulas, on a design whose gamma-hat is not 0.
+        n, d, rho = 200, 40, 0.5
+        sigma = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        design = rng.standard_normal((n, d)) @ np.linalg.cholesky(sigma).T
+        x_star = np.zeros(d)
+        x_star[:3] = [8.0, -5.0, 3.0]
+        b = design @ x_star + rng.standard_normal(n)
+        prec = np.linalg.inv(sigma)
+        gamma_true = -prec / np.diag(prec)[:, None]
+        np.fill_diagonal(gamma_true, 0.0)
+        node_r1 = 1.1 * np.abs(gamma_true).sum(axis=1)
+        node_s = (np.abs(gamma_true) > 1e-12).sum(axis=1)
+        main = RadarConfig(r1=1.1 * np.abs(x_star).sum(), s_bound=3, total_n=n)
+        node = RadarConfig(r1=float(node_r1.max()), s_bound=int(node_s.max()),
+                           total_n=n)
+        fit = fit_debiased_lasso(design, b, main, node, sigma=1.0, q=0.05,
+                                 node_r1_rows=node_r1, node_s_rows=node_s)
+        gammas = fit.precision.gamma
+        assert (np.abs(gammas).max(axis=1) > 0).all()
+
+        taus = np.empty(d)
+        c = np.eye(d)
+        for j in range(d):
+            resid = design[:, j] - np.delete(design, j, axis=1) @ gammas[j]
+            taus[j] = resid @ design[:, j] / n
+            c[j, np.arange(d) != j] = -gammas[j]
+        omega = c / taus[:, None]
+        x_d = fit.x_hat + omega @ design.T @ (b - design @ fit.x_hat) / n
+        var = np.diag(omega @ design.T @ design @ omega.T / n)
+        half = 1.959963984540054 * np.sqrt(var / n)
+
+        for got, want in ((fit.precision.tau, taus), (fit.precision.omega, omega),
+                          (fit.x_debiased, x_d), (fit.report.center, x_d),
+                          (fit.report.half_width, half)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
