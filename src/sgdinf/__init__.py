@@ -8,7 +8,6 @@ an epoch-based dual-averaging solver and one-step debiasing.
 """
 
 from .batchmeans import BatchMeansAccumulator, BatchSchedule, make_schedule
-from .estimates import CovarianceEstimate
 from .inference import CiReport, confidence_interval, z_quantile, z_test
 from .models import (
     DesignKind,
@@ -18,7 +17,6 @@ from .models import (
     OracleCovariance,
     derivatives,
     make_covariance,
-    oracle_ci_length,
     oracle_covariance,
 )
 from .highdim import (
@@ -35,6 +33,7 @@ from .highdim import (
 )
 from .plugin import PluginAccumulator
 from .sgd import (
+    CovarianceEstimate,
     DivergenceError,
     EstimatorSink,
     SgdState,
@@ -47,9 +46,9 @@ __all__ = [
     "BatchMeansAccumulator", "BatchSchedule", "make_schedule",
     "CovarianceEstimate", "CiReport", "confidence_interval", "z_quantile",
     "z_test", "DesignKind", "DesignSpec", "ModelKind", "ModelSpec",
-    "OracleCovariance", "derivatives", "make_covariance", "oracle_ci_length",
-    "oracle_covariance", "PluginAccumulator", "DivergenceError", "EstimatorSink",
-    "SgdState", "StepSchedule", "TraceSink", "run",
+    "OracleCovariance", "derivatives", "make_covariance", "oracle_covariance",
+    "PluginAccumulator", "DivergenceError", "EstimatorSink", "SgdState",
+    "StepSchedule", "TraceSink", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",
     "fit_debiased_lasso", "highdim_ci", "nodewise_fit_all",
     "radar_lasso", "radar_solve", "tau_hat",

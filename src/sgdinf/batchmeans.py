@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import CovarianceEstimate
-from .sgd import EstimatorSink
+from .sgd import CovarianceEstimate, EstimatorSink
 
 
 class ScheduleError(ValueError):
@@ -32,11 +31,10 @@ class BatchSchedule:
     """Batch boundaries e_0 < e_1 < ... < e_M with e_M = n.
 
     Batch k covers iterations s_k..e_k where s_0 = 1 and s_k = e_{k-1}+1;
-    batch 0 is burn-in. N is the decorrelation factor n^(1-α)/(M+1).
+    batch 0 is burn-in.
     """
 
     m: int
-    n_factor: float
     alpha: float
     boundaries: tuple
 
@@ -47,10 +45,6 @@ class BatchSchedule:
     @property
     def burn_in(self) -> int:
         return self.boundaries[0]
-
-    def batch_sizes(self) -> np.ndarray:
-        e = np.asarray(self.boundaries)
-        return np.diff(e)
 
     def to_json(self) -> str:
         return json.dumps(list(self.boundaries))
@@ -68,12 +62,12 @@ def make_schedule(n: int, m: int, alpha: float) -> BatchSchedule:
         raise ScheduleError(f"alpha must lie in [0.5, 1), got {alpha}")
     if n < (m + 1) ** 2:
         raise ScheduleError(f"n={n} too small for M={m} (need n >= (M+1)^2)")
-    n_factor = n ** (1.0 - alpha) / (m + 1)
+    big_n = n ** (1.0 - alpha) / (m + 1)   # the decorrelation factor N
     power = 1.0 / (1.0 - alpha)
     bounds = []
     prev = 0
     for k in range(m):
-        e_k = int(math.floor(((k + 1) * n_factor) ** power + 0.5))
+        e_k = int(math.floor(((k + 1) * big_n) ** power + 0.5))
         e_k = max(e_k, prev + 1)
         bounds.append(e_k)
         prev = e_k
@@ -81,8 +75,7 @@ def make_schedule(n: int, m: int, alpha: float) -> BatchSchedule:
         raise ScheduleError(
             f"degenerate schedule: batch {m} would be empty (e_{m-1}={prev} >= n={n})")
     bounds.append(n)
-    return BatchSchedule(m=m, n_factor=n_factor, alpha=alpha,
-                         boundaries=tuple(bounds))
+    return BatchSchedule(m=m, alpha=alpha, boundaries=tuple(bounds))
 
 
 def batch_count(n: int, c: float = 0.25) -> int:
@@ -139,12 +132,7 @@ class BatchMeansAccumulator(EstimatorSink):
         counts = np.asarray(self.batch_counts[1:], dtype=float)
         dev = np.asarray(self.batch_means[1:]) - self.overall_mean
         est = (dev.T * counts) @ dev / m
-        est = 0.5 * (est + est.T)
-        return CovarianceEstimate(
-            matrix=est, estimator="batch_means", n=self.schedule.n,
-            params={"M": m, "N": self.schedule.n_factor,
-                    "alpha": self.schedule.alpha,
-                    "boundaries": list(self.schedule.boundaries)})
+        return CovarianceEstimate(0.5 * (est + est.T))
 
     @property
     def overall_mean(self) -> np.ndarray:

@@ -24,7 +24,7 @@ import yaml
 from . import models
 from .batchmeans import BatchMeansAccumulator, batch_count, make_schedule
 from .highdim import (DegenerateResidualError, RadarConfig, RadarConfigError,
-                      fit_debiased_lasso)
+                      epoch_plan, fit_debiased_lasso)
 from .inference import confidence_interval
 from .plugin import PluginAccumulator
 from .sgd import DivergenceError, StepSchedule, run
@@ -39,12 +39,14 @@ class ConfigError(ValueError):
     """Bad or missing harness configuration."""
 
 
-def _check_q_and_n_sim(scn) -> None:
-    """Reject a level q outside (0, 1) or fewer than one replication."""
+def _check_shared(scn) -> None:
+    """Reject a level q outside (0, 1), or fewer than one sample or one
+    replication."""
     if not 0.0 < scn.q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {scn.q}")
-    if scn.n_sim < 1:
-        raise ValueError(f"n_sim must be >= 1, got {scn.n_sim}")
+    for key in ("n", "n_sim"):
+        if getattr(scn, key) < 1:
+            raise ValueError(f"{key} must be >= 1, got {getattr(scn, key)}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class ScenarioConfig:
     oracle_mc_samples: int = 1_000_000
 
     def __post_init__(self):
-        _check_q_and_n_sim(self)
+        _check_shared(self)
         if not self.estimators:
             raise ValueError("scenario selects no estimators")
         StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
@@ -112,8 +114,17 @@ class HighDimScenario:
     labels: ClassVar[tuple] = ("debiased-s0", "debiased-s0c")
 
     def __post_init__(self):
-        _check_q_and_n_sim(self)
-        self.model  # builds the design, which checks d and rho
+        _check_shared(self)
+        if not 1 <= self.s0 < self.d:
+            raise ValueError(f"s0 must lie in [1, d) = [1, {self.d}), got {self.s0}")
+        model = self.model      # builds the design, which checks d and rho
+        # the budget n must cover the first epoch of both solves
+        try:
+            main, node, _, _ = _radar_configs(self, model)
+            for cfg, dim in ((main, self.d), (node, self.d - 1)):
+                epoch_plan(cfg, dim)
+        except RadarConfigError as exc:
+            raise ValueError(f"n, t_min: {exc}") from None
 
     @property
     def model(self) -> models.ModelSpec:
@@ -265,6 +276,8 @@ def load_config(path) -> dict:
     _check_keys(raw, _TOP_KEYS, f"config file {path}")
     try:
         workers = _integer(raw.get("workers", 1))
+        if workers < 1:
+            raise ValueError(f"must be >= 1, got {workers}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: workers: {exc}") from None
     out = {"scenarios": [], "highdim": [], "workers": workers}
@@ -297,8 +310,8 @@ def make_oracle_bundle(scn) -> OracleBundle:
     model = scn.model
     rng = np.random.default_rng(np.random.SeedSequence((scn.seed, _ORACLE_TAG)))
     oracle = models.oracle_covariance(model, scn.oracle_mc_samples, rng)
-    lengths = np.array([models.oracle_ci_length(oracle, j, scn.n, scn.q)
-                        for j in range(model.d)])
+    lengths = confidence_interval(np.zeros(model.d), oracle.matrix, scn.n,
+                                  scn.q).lengths
     return OracleBundle(matrix=oracle.matrix,
                         lambda_a=float(np.linalg.eigvalsh(oracle.hessian).min()),
                         lengths=lengths)
@@ -359,6 +372,19 @@ def _nodewise_truth(design: models.DesignSpec):
     return np.abs(gamma).sum(axis=1), (np.abs(gamma) > 1e-12).sum(axis=1)
 
 
+def _radar_configs(scn: HighDimScenario, model: models.ModelSpec):
+    """(main config, node-wise config, node-wise l1 radii, node-wise
+    sparsities) of a high-dimensional scenario: radii are the true l1 norms
+    of x* and of the node-wise rows of the true precision, times _R1_SLACK."""
+    node_r1, node_s = _nodewise_truth(model.design)
+    main = RadarConfig(r1=_R1_SLACK * float(np.abs(model.xs).sum()),
+                       s_bound=scn.s0, total_n=scn.n, t_min=scn.t_min)
+    node = RadarConfig(r1=_R1_SLACK * float(np.max(node_r1)),
+                       s_bound=int(np.max(node_s)), total_n=scn.n,
+                       t_min=scn.t_min)
+    return main, node, _R1_SLACK * node_r1, node_s
+
+
 def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
                             rep_index: int,
                             rep_seed: np.random.SeedSequence) -> ReplicationResult:
@@ -366,18 +392,12 @@ def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
     split into the active set S0 and its complement."""
     model = scn.model
     design, b = models.sample_dataset(model, scn.n, np.random.default_rng(rep_seed))
-    node_r1, node_s = _nodewise_truth(model.design)
+    main_cfg, node_cfg, node_r1, node_s = _radar_configs(scn, model)
     try:
-        main_cfg = RadarConfig(
-            r1=_R1_SLACK * float(np.abs(model.xs).sum()), s_bound=scn.s0,
-            total_n=scn.n, t_min=scn.t_min)
-        node_cfg = RadarConfig(
-            r1=_R1_SLACK * float(np.max(node_r1)), s_bound=int(np.max(node_s)),
-            total_n=scn.n, t_min=scn.t_min)
         fit = fit_debiased_lasso(
             design, b, main_cfg, node_cfg, scn.sigma, scn.q, truth=model.xs,
-            node_r1_rows=_R1_SLACK * node_r1, node_s_rows=node_s)
-    except (DegenerateResidualError, RadarConfigError) as exc:
+            node_r1_rows=node_r1, node_s_rows=node_s)
+    except DegenerateResidualError as exc:   # the budget is checked at load
         return ReplicationResult(index=rep_index, ok=False, error=str(exc))
     active = np.arange(scn.d) < scn.s0
     report = fit.report
@@ -490,16 +510,22 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
     cfg = load_config(config_path)
     if not cfg[section]:
         raise ConfigError(f"{config_path}: no '{section}' section")
-    workers = workers if workers is not None else cfg["workers"]
+    if workers is None:
+        workers = cfg["workers"]
+    elif workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     overrides = {}
     if seed is not None:
         overrides["seed"] = int(seed)
     if fixed_design is not None:
         overrides["fixed_design"] = bool(fixed_design)
+    try:    # a new seed draws a new x*, which the budget check reads
+        scenarios = [dataclasses.replace(scn, **overrides) for scn in cfg[section]]
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: with --seed {seed}: {exc}") from None
     all_rows, failures = [], {}
-    for scn in cfg[section]:
-        rows, fails = run_scenario(dataclasses.replace(scn, **overrides),
-                                   workers=workers)
+    for scn in scenarios:
+        rows, fails = run_scenario(scn, workers=workers)
         all_rows.extend(rows)
         if fails:
             failures[scn.scenario_id] = fails

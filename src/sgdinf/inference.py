@@ -31,7 +31,6 @@ def z_quantile(p: float) -> float:
 class CiReport:
     """Per-coordinate two-sided intervals, plus hit flags when a truth is known."""
 
-    q: float
     center: np.ndarray
     half_width: np.ndarray
     truth: np.ndarray | None = None
@@ -76,7 +75,7 @@ def confidence_interval(x_bar, cov, n: int, q: float, truth=None) -> CiReport:
     diag = np.maximum(diag, 0.0)
     z = z_quantile(1.0 - q / 2.0)
     half = z * np.sqrt(diag / n)
-    return CiReport(q=q, center=x_bar, half_width=half, truth=truth)
+    return CiReport(center=x_bar, half_width=half, truth=truth)
 
 
 def z_test(x_bar_j: float, cov_jj: float, n: int, null_value: float = 0.0):

@@ -10,12 +10,9 @@ benchmarks the streaming estimators.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .inference import z_quantile
 
 
 class InvalidDesignError(ValueError):
@@ -252,10 +249,3 @@ def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
         matrix = np.linalg.inv(a)
     return OracleCovariance(matrix=0.5 * (matrix + matrix.T), hessian=a)
 
-
-def oracle_ci_length(oracle: OracleCovariance, j: int, n: int, q: float) -> float:
-    """Length of the ideal interval for coordinate j: 2·z_{q/2}·sqrt(V_jj/n)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    z = z_quantile(1.0 - q / 2.0)
-    return 2.0 * z * math.sqrt(oracle.matrix[j, j] / n)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimates import CovarianceEstimate
-from .sgd import EstimatorSink
+from .sgd import CovarianceEstimate, EstimatorSink
 
 
 class PluginAccumulator(EstimatorSink):
@@ -54,7 +53,4 @@ class PluginAccumulator(EstimatorSink):
         w = np.maximum(w, floor)
         inv = (psi / w) @ psi.T
         est = inv @ self.s_n @ inv
-        est = 0.5 * (est + est.T)
-        return CovarianceEstimate(
-            matrix=est, estimator="plugin", n=self.count,
-            params={"lambda_a": self.lambda_a})
+        return CovarianceEstimate(0.5 * (est + est.T))

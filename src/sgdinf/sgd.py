@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .estimates import CovarianceEstimate
 
 
 class DivergenceError(RuntimeError):
@@ -56,7 +55,8 @@ class DivergenceError(RuntimeError):
 
 
 class SinkFinalizeError(RuntimeError):
-    """One or more sinks failed to finalize; .errors maps sink -> exception."""
+    """One or more sinks failed to finalize; .errors maps each failing
+    sink, as "position:class", to its exception."""
 
     def __init__(self, errors: dict):
         super().__init__("sink finalize failed: " +
@@ -84,11 +84,22 @@ class StepSchedule:
 
 @dataclass
 class SgdState:
-    """Final iterate, running average and iteration count of a run."""
+    """Final iterate and running average of a run."""
 
-    n: int
     x: np.ndarray
     x_bar: np.ndarray
+
+
+@dataclass
+class CovarianceEstimate:
+    """A d×d estimate of the asymptotic covariance of the averaged iterate."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("covariance estimate must be a square matrix")
 
 
 class EstimatorSink:
@@ -373,13 +384,13 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
 
     estimates = []
     errors = {}
-    for s in sinks:
+    for i, s in enumerate(sinks):
         try:
             estimates.append(s.finalize())
         except Exception as exc:  # collected per sink, reported together
-            errors[type(s).__name__] = exc
+            errors[f"{i}:{type(s).__name__}"] = exc
             estimates.append(None)
-    state = SgdState(n=n, x=xs_buf[0].copy(), x_bar=x_bar.copy())
+    state = SgdState(x=xs_buf[0].copy(), x_bar=x_bar.copy())
     if errors:
         raise SinkFinalizeError(errors)
     return state, estimates

@@ -77,7 +77,7 @@ def batch_means_floor(schedule, cov, draws=20_000, seed=0):
     Returns an array of shape (draws, d, d).
     """
     cov = np.asarray(cov, dtype=float)
-    counts = schedule.batch_sizes().astype(float)
+    counts = np.diff(schedule.boundaries).astype(float)
     m = counts.size
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((draws, m, cov.shape[0]))

@@ -14,14 +14,13 @@ import pytest
 from sgdinf import harness, models
 from sgdinf.batchmeans import BatchMeansAccumulator, batch_count, make_schedule
 from sgdinf.highdim import debias
-from sgdinf.inference import z_quantile
+from sgdinf.inference import confidence_interval, z_quantile
 from sgdinf.models import (
     DesignKind,
     DesignSpec,
     ModelKind,
     ModelSpec,
     default_x_star,
-    oracle_ci_length,
     oracle_covariance,
 )
 from sgdinf.plugin import PluginAccumulator
@@ -70,8 +69,8 @@ class CheckpointSink(EstimatorSink):
 
 def test_c01_oracle_length_linear_identity():
     oc = oracle_covariance(linear_identity())
-    avg = float(np.mean([oracle_ci_length(oc, j, 100_000, 0.05)
-                         for j in range(5)]))
+    avg = float(confidence_interval(np.zeros(5), oc.matrix, 100_000,
+                                    0.05).lengths.mean())
     dev = abs(avg - 1.2396e-2)
     _emit("C1 oracle length identity",
           [(f"avg_len={avg:.6e} dev={dev:.2e} < 5e-5", dev < 5e-5)])
@@ -119,8 +118,8 @@ def test_c03_table1_toeplitz_oracle():
     model = ModelSpec(ModelKind.LINEAR, DesignSpec(DesignKind.TOEPLITZ, 5, 0.5),
                       tuple(default_x_star(5)), sigma=1.0)
     oc = oracle_covariance(model)
-    avg = float(np.mean([oracle_ci_length(oc, j, 100_000, 0.05)
-                         for j in range(5)]))
+    avg = float(confidence_interval(np.zeros(5), oc.matrix, 100_000,
+                                    0.05).lengths.mean())
     dev = abs(avg - 1.533e-2)
     _emit("C3 oracle length toeplitz",
           [(f"avg_len={avg:.6e} dev={dev:.2e} < 5e-5", dev < 5e-5)])
@@ -152,8 +151,8 @@ def test_c05_batch_schedule_exactness():
     exact = sched.boundaries == (100, 400, 900, 1600, 2500, 3600, 4900,
                                  6400, 8100, 10000)
     big = make_schedule(100_000, batch_count(100_000, 0.25), 0.5)
-    sizes = big.batch_sizes()
-    scale = big.n_factor ** 2.0     # N^(1/(1-alpha)) at alpha = 1/2
+    sizes = np.diff(big.boundaries)
+    scale = (100_000 ** 0.5 / (big.m + 1)) ** 2.0   # N^(1/(1-alpha)), alpha = 1/2
     ratios = [sizes[k - 1] / ((k + 1) * scale) for k in range(2, big.m + 1)]
     in_range = all(0.5 <= r <= 2.1 for r in ratios)
     _emit("C5 batch schedule", [

@@ -21,12 +21,10 @@ class TestMakeSchedule:
     def test_square_boundaries(self):
         s = make_schedule(10000, 9, 0.5)
         assert s.boundaries == (100, 400, 900, 1600, 2500, 3600, 4900, 6400, 8100, 10000)
-        assert s.n_factor == pytest.approx(10.0)
 
     def test_two_batches(self):
         s = make_schedule(100, 1, 0.5)
         assert s.boundaries == (25, 100)
-        assert s.n_factor == pytest.approx(5.0)
 
     def test_preconditions(self):
         with pytest.raises(ScheduleError):
@@ -50,7 +48,7 @@ class TestMakeSchedule:
         assert bounds[-1] == n
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
         assert bounds[0] >= 1
-        assert s.batch_sizes().sum() == n - s.burn_in
+        assert np.diff(bounds).sum() == n - s.burn_in
 
     def test_batch_growth_matches_power_law(self):
         # n_k ~ k^(alpha/(1-alpha)) N^(1/(1-alpha)) with the (k+1) index
@@ -59,8 +57,8 @@ class TestMakeSchedule:
         m = batch_count(n, 0.25)
         assert m == 18
         s = make_schedule(n, m, alpha)
-        sizes = s.batch_sizes()       # n_k for k = 1..M
-        scale = s.n_factor ** (1 / (1 - alpha))
+        sizes = np.diff(s.boundaries)     # n_k for k = 1..M
+        scale = (n ** (1 - alpha) / (m + 1)) ** (1 / (1 - alpha))
         for k in range(2, m + 1):
             ratio = sizes[k - 1] / ((k + 1) ** (alpha / (1 - alpha)) * scale)
             assert 0.5 <= ratio <= 2.1
@@ -85,7 +83,7 @@ def feed(acc, xs, block=3, start=1):
 
 class TestAccumulator:
     def test_burn_in_discarded_hand_case(self):
-        sched = BatchSchedule(m=1, n_factor=1.0, alpha=0.5, boundaries=(1, 4))
+        sched = BatchSchedule(m=1, alpha=0.5, boundaries=(1, 4))
         acc = BatchMeansAccumulator(sched, 1)
         feed(acc, [1.0, 5.0, 5.0, 5.0])
         assert acc.batch_counts == [1, 3]
@@ -103,7 +101,7 @@ class TestAccumulator:
 
     def test_two_batch_hand_arithmetic(self):
         # means (1, 3) with sizes (2, 2): overall 2, estimate (1/2)(2+2) = 2
-        sched = BatchSchedule(m=2, n_factor=1.0, alpha=0.5, boundaries=(1, 3, 5))
+        sched = BatchSchedule(m=2, alpha=0.5, boundaries=(1, 3, 5))
         acc = BatchMeansAccumulator(sched, 1)
         feed(acc, [9.0, 1.0, 1.0, 3.0, 3.0])
         est = acc.finalize()
@@ -176,7 +174,7 @@ class TestAccumulator:
         assert acc4.batch_counts == [11, 33]     # the bad block left no trace
 
     def test_overall_mean_needs_burn_in_to_end(self):
-        sched = BatchSchedule(m=1, n_factor=1.0, alpha=0.5, boundaries=(2, 4))
+        sched = BatchSchedule(m=1, alpha=0.5, boundaries=(2, 4))
         acc = BatchMeansAccumulator(sched, 1)
         with pytest.raises(ProtocolError, match="burn-in"):
             acc.overall_mean
@@ -218,9 +216,9 @@ class TestBatchMeansFloor:
         assert np.all(dev <= 5 * se), (dev / se).max()
 
     def test_equal_batches_identity_bias(self):
-        sched = BatchSchedule(m=4, n_factor=10.0, alpha=0.5,
+        sched = BatchSchedule(m=4, alpha=0.5,
                               boundaries=(50, 100, 150, 200, 250))
-        assert set(sched.batch_sizes()) == {50}
+        assert set(np.diff(sched.boundaries)) == {50}
         self._wishart_mean_check(sched, np.eye(3), draws=20_000)
 
     def test_growing_batches_general_covariance(self):

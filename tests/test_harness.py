@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from sgdinf import harness, models
 from sgdinf.cli import main
 from sgdinf.highdim import DegenerateResidualError
+from sgdinf.inference import z_quantile
 from sgdinf.harness import (
     AggregateRow,
     ConfigError,
@@ -250,6 +252,56 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message,edits,argv", [
+        # without batch means nothing else reads n before every run fails
+        ("scenarios[0]: n must be >= 1, got 0",
+         (("    n: 2000", "    n: 0"), ("      batch_means: [0.25]\n", "")),
+         ["simulate"]),
+        ("highdim[0]: n, t_min: budget 5 cannot cover one epoch of length 8",
+         (("    n: 60", "    n: 5"),), ["highdim-simulate"]),
+        ("highdim[0]: s0 must lie in [1, d) = [1, 12), got 0",
+         (("    s0: 2", "    s0: 0"),), ["highdim-simulate"]),
+        ("highdim[0]: s0 must lie in [1, d) = [1, 12), got 12",
+         (("    s0: 2", "    s0: 12"),), ["highdim-simulate"]),
+        ("highdim[0]: s0 must lie in [1, d) = [1, 10), got 20",
+         (("    s0: 2", "    s0: 20"), ("    d: 12", "    d: 10")),
+         ["highdim-simulate"]),
+        ("highdim[0]: s0 must lie in [1, d) = [1, 12), got -1",
+         (("    s0: 2", "    s0: -1"),), ["highdim-simulate"]),
+        ("bad.yaml: workers: must be >= 1, got -3",
+         (("workers: 1", "workers: -3"),), ["simulate"]),
+        ("--workers must be >= 1, got -3", (),
+         ["simulate", "--workers", "-3"]),
+    ])
+    def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
+                                          edits, argv):
+        # each of these loaded, or failed with a message naming no key,
+        # and then failed every replication or wrote NaN rows
+        path = tmp_path / "bad.yaml"
+        text = SMALL_YAML
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_rechecks_the_budget(self, tmp_path, capsys):
+        # x* comes from the seed, and with it the first epoch's length:
+        # seed 1 gives a budget of 10 room, seed 3 asks for 38 samples
+        path = tmp_path / "seeded.yaml"
+        path.write_text(SMALL_YAML.replace("    n: 60", "    n: 10").replace(
+            "    seed: 5", "    seed: 1").replace("coef_max: 10.0", "coef_max: 1.0"))
+        assert load_config(path)["highdim"][0].seed == 1
+        out = tmp_path / "out"
+        assert main(["highdim-simulate", "--config", str(path), "--out",
+                     str(out), "--seed", "3"]) == 2
+        assert ("seeded.yaml: with --seed 3: n, t_min: budget 10 cannot cover "
+                "one epoch of length 38") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_loads_as_integer(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(SMALL_YAML.replace("    n_sim: 4", "    n_sim: 4.0", 1))
@@ -309,6 +361,21 @@ class TestOracleBundle:
         # at x*=0 the true A is I/4, lambda_A = 1/4, covariance 4I
         assert bundle.lambda_a == pytest.approx(0.25, abs=0.01)
         np.testing.assert_allclose(bundle.matrix, 4 * np.eye(2), atol=0.15)
+
+    @pytest.mark.parametrize("scn", [
+        load_config(Path(__file__).parent.parent / "configs"
+                    / "table1_identity_d5.yaml")["scenarios"][0],
+        small_scenario(model=models.ModelSpec.from_config(
+            {"kind": "linear", "design": "toeplitz", "d": 5, "rho": 0.5}))],
+        ids=["table1-identity", "toeplitz-0.5"])
+    def test_lengths_keep_their_bits(self, scn):
+        # 2·(z·s) = (2z)·s exactly, and both square roots are correctly
+        # rounded, so the one interval formula gives the bits of 2·z·√(V_jj/n)
+        v = models.oracle_covariance(scn.model).matrix
+        z = z_quantile(1.0 - scn.q / 2.0)
+        want = np.array([2.0 * z * math.sqrt(v[j, j] / scn.n)
+                         for j in range(scn.model.d)])
+        assert make_oracle_bundle(scn).lengths.tobytes() == want.tobytes()
 
 
 class TestReplication:

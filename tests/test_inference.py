@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from sgdinf.estimates import CovarianceEstimate
 from sgdinf.inference import (
     CiReport,
     EstimatorCorruptionError,
@@ -12,6 +11,7 @@ from sgdinf.inference import (
     z_quantile,
     z_test,
 )
+from sgdinf.sgd import CovarianceEstimate
 
 mpmath.mp.dps = 40
 
@@ -86,7 +86,7 @@ class TestConfidenceInterval:
         assert widths == sorted(widths)
 
     def test_accepts_covariance_estimate(self):
-        est = CovarianceEstimate(np.eye(2), "plugin", 100)
+        est = CovarianceEstimate(np.eye(2))
         rep = confidence_interval(np.zeros(2), est, 10000, 0.05)
         np.testing.assert_allclose(rep.half_width, 0.0195996, atol=1e-6)
 

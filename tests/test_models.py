@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgdinf.inference import confidence_interval
 from sgdinf.models import (
     DesignKind,
     DesignSpec,
@@ -10,7 +11,6 @@ from sgdinf.models import (
     default_x_star,
     derivatives,
     make_covariance,
-    oracle_ci_length,
     oracle_covariance,
     sample_dataset,
     sigmoid,
@@ -27,6 +27,12 @@ def logistic_model(d=5, design=DesignKind.IDENTITY, rho=0.0, x_star=None):
     spec = DesignSpec(design, d, rho)
     xs = default_x_star(d) if x_star is None else x_star
     return ModelSpec(ModelKind.LOGISTIC, spec, tuple(xs))
+
+
+def oracle_lengths(oracle, n, q):
+    """Every coordinate's oracle interval length, 2·z_{q/2}·sqrt(V_jj/n)."""
+    return confidence_interval(np.zeros(len(oracle.matrix)), oracle.matrix,
+                               n, q).lengths
 
 
 class TestMakeCovariance:
@@ -211,21 +217,21 @@ class TestOracle:
         # sigma = 0 is a valid linear model; its sigma^2 Sigma^-1 vanishes
         got = oracle_covariance(linear_model(d=3, sigma=0.0))
         np.testing.assert_array_equal(got.matrix, np.zeros((3, 3)))
-        assert oracle_ci_length(got, 0, 100, 0.05) == 0.0
+        assert oracle_lengths(got, 100, 0.05)[0] == 0.0
 
-    def test_oracle_ci_length_identity(self):
+    def test_oracle_interval_length_identity(self):
         oc = oracle_covariance(linear_model(d=5))
-        lens = [oracle_ci_length(oc, j, 100000, 0.05) for j in range(5)]
+        lens = oracle_lengths(oc, 100000, 0.05)
         np.testing.assert_allclose(lens, 1.2396e-2, atol=5e-5)
 
-    def test_oracle_ci_length_quarter_sample_scaling(self):
+    def test_oracle_interval_length_quarter_sample_scaling(self):
         oc = oracle_covariance(linear_model(d=2))
-        assert oracle_ci_length(oc, 0, 4000, 0.05) == pytest.approx(
-            0.5 * oracle_ci_length(oc, 0, 1000, 0.05))
+        assert oracle_lengths(oc, 4000, 0.05)[0] == pytest.approx(
+            0.5 * oracle_lengths(oc, 1000, 0.05)[0])
 
-    def test_oracle_ci_length_toeplitz_average(self):
+    def test_oracle_interval_length_toeplitz_average(self):
         oc = oracle_covariance(linear_model(d=5, design=DesignKind.TOEPLITZ, rho=0.5))
-        avg = np.mean([oracle_ci_length(oc, j, 100000, 0.05) for j in range(5)])
+        avg = np.mean(oracle_lengths(oc, 100000, 0.05))
         assert abs(avg - 1.533e-2) < 5e-5
 
 

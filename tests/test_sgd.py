@@ -406,6 +406,17 @@ class TestRun:
                 sinks=[Broken()], rng=rng)
         assert "Broken" in str(err.value)
 
+    def test_finalize_errors_keep_every_sink(self, rng):
+        # two sinks of one class, both scheduled past the run's end
+        sinks = [BatchMeansAccumulator(make_schedule(n, 3, 0.5), 2)
+                 for n in (4000, 5000)]
+        with pytest.raises(SinkFinalizeError) as err:
+            run(linear_model(d=2), 2000, StepSchedule(0.5, 0.5), sinks=sinks,
+                rng=rng)
+        assert len(err.value.errors) == 2
+        for n in (4000, 5000):
+            assert f"schedule expects {n}" in str(err.value)
+
     def test_requires_rng_or_data(self):
         with pytest.raises(ValueError):
             run(linear_model(), 10, StepSchedule(0.5, 0.5))
