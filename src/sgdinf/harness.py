@@ -79,10 +79,18 @@ class ScenarioConfig:
         _check_shared(self)
         if not self.estimators:
             raise ValueError("scenario selects no estimators")
+        if self.oracle_mc_samples < 1:
+            raise ValueError(f"oracle_mc_samples must be >= 1, got "
+                             f"{self.oracle_mc_samples}")
         StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
         for choice in self.estimators:
             if choice.kind == "bm":     # raises ScheduleError if infeasible
-                make_schedule(self.n, batch_count(self.n, choice.c), self.alpha)
+                m = batch_count(self.n, choice.c)
+                make_schedule(self.n, m, self.alpha)
+                if m < 2:   # one batch mean is the overall mean: estimate 0
+                    raise ValueError(
+                        f"batch_means: exponent {choice.c:g} gives M = {m} "
+                        f"batch at n = {self.n}, need M >= 2")
 
     @property
     def resolved_eta(self) -> float:
@@ -117,6 +125,8 @@ class HighDimScenario:
         _check_shared(self)
         if not 1 <= self.s0 < self.d:
             raise ValueError(f"s0 must lie in [1, d) = [1, {self.d}), got {self.s0}")
+        if self.coef_max < 0:
+            raise ValueError(f"coef_max must be >= 0, got {self.coef_max:g}")
         model = self.model      # builds the design, which checks d and rho
         # the budget n must cover the first epoch of both solves
         try:

@@ -13,7 +13,8 @@ The solver consumes each sample exactly once, follow-the-leader style: the
 stream is folded into running second-moment statistics (Gram and
 cross-moment), and at each epoch boundary the accumulated l1-regularized
 quadratic is approximately minimized over the shrinking ball around the
-prox center by proximal-gradient iterations. For quadratic losses this
+prox center by a fixed number (INNER_ITERS) of proximal-gradient sweeps,
+the fixed work per epoch of the annealed scheme. For quadratic losses this
 keeps the one-pass contract while giving each epoch the full statistical
 strength of every sample seen so far.
 """
@@ -38,12 +39,10 @@ class DegenerateResidualError(RuntimeError):
 
 
 SQRT2 = math.sqrt(2.0)
-# Proximal-gradient sweeps closing each epoch, the cap on the number of
-# epochs, and the step size, relative to a row's largest entry, below which
-# a row stops sweeping.
+# Proximal-gradient sweeps closing each epoch, and the cap on the number of
+# epochs.
 INNER_ITERS = 120
 MAX_EPOCHS = 40
-TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
 
@@ -150,19 +149,19 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     are consumed. At the end of each epoch row k approximately minimizes
     1/2 x'Gx - c_k'x + lam_k|x|_1, with G and c_k the running means of aa'
     and a*targets[:, k], over the p-ball of radius R_k around its previous
-    center, by ISTA sweeps with radial feasibility projection, which needs
-    the p-norm only of rows with |u|_1 > R_k: lp_geometry's p = q/(q-1) is
-    at least 1, and |u|_p <= |u|_1 for p >= 1. Epoch lengths follow
-    `config`; radii (default config.r1) and sparsities
+    center, by exactly INNER_ITERS ISTA sweeps with radial feasibility
+    projection, which needs the p-norm only of rows with |u|_1 > R_k:
+    lp_geometry's p = q/(q-1) is at least 1, and |u|_p <= |u|_1 for p >= 1.
+    Epoch lengths follow `config`; radii (default config.r1) and sparsities
     (default config.s_bound) are per row, with
     lam_k^2 = R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
 
     fixed[k], when given, is a coordinate of row k held at zero; the ball
     geometry is then that of the d-1 free coordinates. A row of radius 0
-    stays at its center, and a row stops sweeping once its step falls
-    below TOL, so no row's path depends on the other rows. on_step(epoch,
-    x, y) sees the new iterates and the centers of the rows still
-    sweeping. Returns the final centers.
+    stays at its center; every other row (a live row) takes the same
+    epochs x INNER_ITERS sweeps, so no row's path depends on the other
+    rows. on_step(epoch, x, y) sees the new iterates and the centers of
+    all live rows after each sweep. Returns the final centers.
     """
     n, d = D.shape
     if config.total_n > n:
@@ -171,68 +170,43 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     radii = np.full(k, config.r1) if r1_rows is None else np.asarray(r1_rows, float)
     s_rows = np.full(k, config.s_bound) if s_rows is None else s_rows
     s_rows = np.maximum(np.asarray(s_rows, dtype=float), 1.0)
-    if fixed is not None:
-        fixed = np.asarray(fixed)
     dim = d if fixed is None else d - 1
     p, q = lp_geometry(dim)
+    plan = epoch_plan(config, dim)
 
+    # radii only shrink, so the live rows are the same in every epoch
+    live = np.flatnonzero(radii > 0.0)
     y = np.zeros((k, d))
+    if not live.size:
+        return y
+    radii, s_rows = radii[live], s_rows[live]
+    held = None if fixed is None else (np.arange(live.size), np.asarray(fixed)[live])
+    x = np.zeros((live.size, d))
     gram_sum = np.zeros((d, d))
     cross_sum = np.zeros((d, k))
     seen = 0
-    for ep in epoch_plan(config, dim):
+    for ep in plan:
         block = D[seen:seen + ep.length]
         gram_sum += block.T @ block
         cross_sum += block.T @ targets[seen:seen + ep.length]
         seen += ep.length
-        live = np.flatnonzero(radii > 0.0)
-        if live.size:
-            gram = gram_sum / seen
-            lip = float(np.linalg.eigvalsh(gram).max())
-            if lip > 0.0:
-                lam = np.sqrt(radii[live] * math.sqrt(q / 2.0)
-                              / (s_rows[live] * math.sqrt(seen)))
-                _sweep(y, live, gram, lip, cross_sum.T[live] / seen,
-                       lam[:, None] / lip, radii[live], fixed, p, ep, on_step)
+        gram = gram_sum / seen
+        lip = float(np.linalg.eigvalsh(gram).max())
+        if lip > 0.0:
+            lam = np.sqrt(radii * math.sqrt(q / 2.0) / (s_rows * math.sqrt(seen)))
+            rhs, thr, center = cross_sum.T[live] / seen, lam[:, None] / lip, x
+            for _ in range(INNER_ITERS):
+                u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
+                if held is not None:
+                    u[held] = 0.0       # the coordinate each row holds at zero
+                u -= center
+                scale_into_ball(u, radii, p)
+                x = center + u
+                if on_step is not None:
+                    on_step(ep, x, center)
         radii = radii / SQRT2
-    return y
-
-
-def _sweep(y, live, gram, lip, rhs, thr, radii, fixed, p, ep, on_step):
-    """Up to INNER_ITERS ISTA sweeps of rows `live` of y, in place."""
-    x = y[live]
-    center = x.copy()
-    cols = None if fixed is None else fixed[live]
-    rows = np.arange(len(live))
-    # |x_k|_inf <= |center_k|_inf + R_k, so a row can only have stopped
-    # once its step is below this bound (doubled for rounding); the exact
-    # test runs only then.
-    near = 2.0 * TOL * np.maximum(1.0, np.abs(center).max(axis=1) + radii)
-    for _ in range(INNER_ITERS):
-        u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
-        if cols is not None:
-            u[rows, cols] = 0.0
-        u -= center
-        scale_into_ball(u, radii, p)
-        x_new = center + u
-        if on_step is not None:
-            on_step(ep, x_new, center)
-        step = np.abs(x_new - x).max(axis=1)
-        x = x_new
-        if not (step < near).any():
-            continue
-        done = step < TOL * np.maximum(1.0, np.abs(x).max(axis=1))
-        if done.any():
-            y[live[done]] = x[done]
-            keep = ~done
-            live, x, center, rhs, thr, radii, near = (
-                live[keep], x[keep], center[keep], rhs[keep], thr[keep],
-                radii[keep], near[keep])
-            if not live.size:
-                return
-            if cols is not None:
-                cols, rows = cols[keep], rows[:live.size]
     y[live] = x
+    return y
 
 
 def radar_lasso(D: np.ndarray, b: np.ndarray, config: RadarConfig,

@@ -68,18 +68,6 @@ def make_covariance(spec: DesignSpec) -> np.ndarray:
     return np.full((d, d), spec.rho) + (1.0 - spec.rho) * np.eye(d)
 
 
-_CHOL_CACHE: dict[DesignSpec, np.ndarray] = {}
-
-
-def _design_cholesky(spec: DesignSpec) -> np.ndarray:
-    """Lower Cholesky factor of Σ, cached per spec (sampling is O(d²) after)."""
-    factor = _CHOL_CACHE.get(spec)
-    if factor is None:
-        factor = np.linalg.cholesky(make_covariance(spec))
-        _CHOL_CACHE[spec] = factor
-    return factor
-
-
 def default_x_star(d: int) -> np.ndarray:
     """Coordinates linearly spaced over [0, 1] inclusive."""
     if d == 1:
@@ -156,7 +144,7 @@ def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
         if model.design.kind is DesignKind.IDENTITY:
             a = z
         else:
-            a = z @ _design_cholesky(model.design).T
+            a = z @ np.linalg.cholesky(make_covariance(model.design)).T
     else:
         a = covariates
         if a.shape != (n, model.d):
@@ -217,7 +205,7 @@ def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(987654321))
     d = model.d
-    factor = _design_cholesky(model.design)
+    factor = np.linalg.cholesky(make_covariance(model.design))
     acc = np.zeros((d, d))
     remaining = mc_samples
     chunk = min(mc_samples, max(1, 8_000_000 // max(d, 1)))

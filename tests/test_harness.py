@@ -268,6 +268,20 @@ class TestConfig:
          ["highdim-simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 12), got -1",
          (("    s0: 2", "    s0: -1"),), ["highdim-simulate"]),
+        # a Monte-Carlo Hessian of no draws divides by zero
+        ("scenarios[0]: oracle_mc_samples must be >= 1, got 0",
+         (("kind: linear", "kind: logistic"), ("      sigma: 1.0\n", ""),
+          ("    q: 0.05", "    q: 0.05\n    oracle_mc_samples: 0")),
+         ["simulate"]),
+        # M = round(n^c) = 1 writes rows of coverage 0 and length 0
+        ("scenarios[0]: batch_means: exponent -0.5 gives M = 1 batch at "
+         "n = 2000, need M >= 2",
+         (("batch_means: [0.25]", "batch_means: [-0.5, 0.0]"),), ["simulate"]),
+        ("scenarios[0]: batch_means: exponent 0 gives M = 1 batch at "
+         "n = 2000, need M >= 2",
+         (("batch_means: [0.25]", "batch_means: [0.0]"),), ["simulate"]),
+        ("highdim[0]: coef_max must be >= 0, got -5",
+         (("coef_max: 10.0", "coef_max: -5.0"),), ["highdim-simulate"]),
         ("bad.yaml: workers: must be >= 1, got -3",
          (("workers: 1", "workers: -3"),), ["simulate"]),
         ("--workers must be >= 1, got -3", (),

@@ -225,6 +225,28 @@ class TestNodewise:
         gammas = nodewise_fit_all(design, cfg, r1_rows=np.zeros(5))
         assert np.array_equal(gammas, np.zeros((5, 4)))
 
+    def test_every_live_row_takes_every_sweep(self, rng):
+        # Toeplitz rows converge within an epoch's sweeps; each live row
+        # still takes all of them, and a row of radius 0 takes none
+        d = 10
+        idx = np.arange(d)
+        factor = np.linalg.cholesky(0.5 ** np.abs(idx[:, None] - idx[None, :]))
+        design = rng.standard_normal((400, d)) @ factor.T
+        cfg = RadarConfig(r1=1.0, s_bound=2, total_n=400)
+        r1_rows = np.full(d, 1.0)
+        r1_rows[[2, 7]] = 0.0
+        seen = []
+
+        def on_step(epoch, x, y):
+            seen.append((epoch.index, x.shape, y.shape))
+
+        rows = radar_solve(design, design, cfg, r1_rows, fixed=idx, on_step=on_step)
+        assert [i for i, _, _ in seen] == [
+            ep.index for ep in epoch_plan(cfg, d - 1)
+            for _ in range(highdim.INNER_ITERS)]
+        assert all(xs == cs == (d - 2, d) for _, xs, cs in seen)
+        assert not rows[[2, 7]].any()
+
     def test_identity_rows_never_iterate(self, rng, monkeypatch):
         # zero radii (the identity design's true gammas) skip the epoch solves
         def no_eigen(*args):
