@@ -294,7 +294,11 @@ def load_config(path) -> dict:
     for section, cls, fields, where in (
             ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
             ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):
-        for i, scn in enumerate(raw.get(section, []) or []):
+        entries = raw.get(section) or []
+        if not isinstance(entries, list):
+            raise ConfigError(f"{path}: {section}: expected a list of "
+                              f"entries, got {type(entries).__name__}")
+        for i, scn in enumerate(entries):
             try:
                 out[section].append(_build(cls, scn, fields, where))
             except (KeyError, TypeError, ValueError) as exc:
@@ -345,7 +349,7 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
     if scn.fixed_design:
         design_rng = np.random.default_rng(
             np.random.SeedSequence((scn.seed, _DESIGN_TAG)))
-        covariates, _ = models.sample_dataset(model, scn.n, design_rng)
+        covariates = models.sample_covariates(model.design, scn.n, design_rng)
     data = models.sample_dataset(model, scn.n, rng, covariates=covariates)
 
     sinks = {}
@@ -483,12 +487,12 @@ def run_scenario(scn, workers: int = 1):
 
 def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
                   workers_used: int = 1) -> None:
-    """results.csv (deterministic bytes) and results.json (full provenance).
+    """results.csv (deterministic bytes) and results.json (full provenance),
+    written into the existing directory out_dir.
 
     The coverage SE is binomial over the row's intervals: n_sim·d for a
     low-dimensional row, n_sim·|S0| or n_sim·|S0ᶜ| for a high-dimensional one.
     """
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -533,6 +537,11 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
         scenarios = [dataclasses.replace(scn, **overrides) for scn in cfg[section]]
     except ValueError as exc:
         raise ConfigError(f"{config_path}: with --seed {seed}: {exc}") from None
+    try:    # before any replication runs
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror}") from None
     all_rows, failures = [], {}
     for scn in scenarios:
         rows, fails = run_scenario(scn, workers=workers)

@@ -132,19 +132,26 @@ def sigmoid(t):
     return out
 
 
+def sample_covariates(design: DesignSpec, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """n covariates a ~ N(0, Σ) of a design, as the rows of an (n, d) array:
+    standard normal z, times the Cholesky factor of Σ unless Σ = I."""
+    z = rng.standard_normal((n, design.d))
+    if design.kind is DesignKind.IDENTITY:
+        return z
+    return z @ np.linalg.cholesky(make_covariance(design)).T
+
+
 def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
                    covariates: np.ndarray | None = None):
     """Vectorized draw of n points; returns (A, b) with A of shape (n, d).
+    The covariates are drawn first, then the responses.
 
     When `covariates` is given only the responses are drawn (fixed-design
     replications).
     """
     if covariates is None:
-        z = rng.standard_normal((n, model.d))
-        if model.design.kind is DesignKind.IDENTITY:
-            a = z
-        else:
-            a = z @ np.linalg.cholesky(make_covariance(model.design)).T
+        a = sample_covariates(model.design, n, rng)
     else:
         a = covariates
         if a.shape != (n, model.d):
@@ -205,15 +212,12 @@ def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(987654321))
     d = model.d
-    factor = np.linalg.cholesky(make_covariance(model.design))
     acc = np.zeros((d, d))
     remaining = mc_samples
     chunk = min(mc_samples, max(1, 8_000_000 // max(d, 1)))
     while remaining > 0:
         m = min(chunk, remaining)
-        a = rng.standard_normal((m, d))
-        if model.design.kind is not DesignKind.IDENTITY:
-            a = a @ factor.T
+        a = sample_covariates(model.design, m, rng)
         _, w = derivatives(model.kind, a @ model.xs, 1.0)
         acc += (a * w[:, None]).T @ a
         remaining -= m

@@ -1,22 +1,21 @@
 """Averaged SGD driver with pluggable streaming estimator sinks.
 
 run() makes one pass over fresh samples and keeps the (Polyak-Ruppert)
-average of the iterates. It walks the stream in chunks: inside a chunk
-only the sequential recursion runs; at the end of the chunk it hands every
-registered sink the chunk's iterates, covariates and the scalar
-derivatives ℓ′ and ℓ″, from which gradients ℓ′·a and Hessians ℓ″·aaᵀ
-follow.
+average of the iterates. It walks the stream in pieces of up to _PIECE
+rows: it solves a piece's iterates with no loop over the iterations, and
+then hands every registered sink the piece's iterates, covariates and the
+scalar derivatives ℓ′ and ℓ″, from which gradients ℓ′·a and Hessians
+ℓ″·aaᵀ follow.
 
-Inside a chunk no loop runs over the iterations. With
-c_k = γ_k·ℓ′(a_kᵀx_{k−1}, b_k), the iterates are x_k = x_lo − Σ_{j≤k} c_j·a_j,
+With c_k = γ_k·ℓ′(a_kᵀx_{k−1}, b_k), the iterates are x_k = x_lo − Σ_{j≤k} c_j·a_j,
 and the one engine solves the affine recursion c_k = γ̃_k·a_kᵀx_{k−1} + h_k.
-A chunk is cut into pieces of about _PIECE rows and each piece into
-sub-blocks of _SUB_BLOCK rows. In a sub-block with Gram matrix G, c solves
-the unit-lower-triangular system (I + Γ̃·tril(G, −1))·c = Γ̃·A·x_lo + h. One
-forward substitution, batched over the piece's sub-blocks, gives each c as
-W·x_lo + w, and with it the affine map from a sub-block's x_lo to the next
-one's. A scan of log₂(sub-blocks) batched products composes the maps, and
-one product gives every c.
+A piece is cut into sub-blocks of _SUB_BLOCK rows. In a sub-block with Gram
+matrix G, c solves the unit-lower-triangular system
+(I + Γ̃·tril(G, −1))·c = Γ̃·A·x_lo + h. One forward substitution, batched
+over the piece's sub-blocks, gives each c as W·x_lo + w, and with it the
+affine map from a sub-block's x_lo to the next one's. A scan of
+log₂(sub-blocks) batched products composes the maps, and one product gives
+every c.
 
 - Linear: ℓ′ = t − b is affine, so one solve with γ̃ = γ, h = −γ·b is exact.
 - Logistic: Newton's method on the whole trajectory of a piece. From the
@@ -27,7 +26,8 @@ one product gives every c.
   every row. The system is lower triangular, so the rows before the first
   unsettled one are final. A piece still unsettled after _NEWTON_ITERS
   iterations keeps those rows, and the first unsettled row stepped with its
-  exact ℓ′; the rest of its chunk goes on in pieces of half the size.
+  exact ℓ′. The next piece is then half its size, and each piece that
+  settles doubles the next one, back up to _PIECE.
 
 Either way the iterates are rebuilt by a cumulative sum of −c_j·a_j, the
 same subtractions in the same order as the step-by-step recursion, and
@@ -145,15 +145,14 @@ class TraceSink(EstimatorSink):
         return None
 
 
-# Iterations per block handed to the sinks. The buffers are O(_CHUNK·d).
-_CHUNK = 4096
-# Rows per sub-block of the triangular solve, and rows per piece of a chunk
-# solved in one batch. A piece loops in CPython over the _SUB_BLOCK rows of
-# its sub-blocks and then over log₂ of its sub-block count; at d = 5, 16
-# and 2048 measured fastest. The batch's arrays take O(_PIECE·_SUB_BLOCK)
-# memory.
+# Rows per sub-block of the triangular solve, and the most rows per piece:
+# the solver takes a piece in one batch and the sinks get it as one block.
+# A piece loops in CPython over the _SUB_BLOCK rows of its sub-blocks and
+# then over log₂ of its sub-block count; at d = 5, 16 measured fastest,
+# and pieces of 4096 ran faster than pieces of 2048, which cost the sinks
+# twice the calls. The batch's arrays take O(_PIECE·_SUB_BLOCK) memory.
 _SUB_BLOCK = 16
-_PIECE = 2048
+_PIECE = 4096
 # Newton iterations a logistic piece may take before it is halved. Above
 # _SUB_BLOCK + 1, so that a piece of one sub-block always settles.
 _NEWTON_ITERS = 24
@@ -228,11 +227,11 @@ def _solve(gram, coef, a_t, x_lo):
     return lows
 
 
-def _linear_piece(rows, a, b, gamma, first: int) -> int:
+def _linear_piece(rows, a, b, gamma, first: int):
     """The linear model's iterates rows[1:] of a piece, from rows[0]: the
     one-step case γ̃ = γ, h = −γ·b, since ℓ′ = t − b. Returns the rows done,
     fewer than len(b) only if a sub-block's end state diverged and its
-    rebuilt rows did not."""
+    rebuilt rows did not, and ℓ′ and ℓ″ at their pre-step values."""
     k, d = a.shape
     size = _SUB_BLOCK
     count = -(-k // size)
@@ -252,15 +251,16 @@ def _linear_piece(rows, a, b, gamma, first: int) -> int:
     c = np.einsum("sbj,sj->sb", coef[:count], lows[:count]).ravel()[:k]
     _rebuild(rows[:k + 1], a[:k], c)
     _check(rows[:k + 1], first)
-    return k
+    t = np.einsum("ij,ij->i", a[:k], rows[:k])
+    return (k, *models.derivatives(models.ModelKind.LINEAR, t, b[:k]))
 
 
-def _newton_piece(rows, a, b, gamma, first: int, r_out, w_out) -> int:
+def _newton_piece(rows, a, b, gamma, first: int):
     """The logistic model's iterates rows[1:] of a piece, from rows[0], by
-    Newton's method on the whole trajectory (see the module docstring);
-    writes ℓ′ and ℓ″ at the pre-step values into r_out and w_out. Returns the
-    rows settled: all of them, or fewer if _NEWTON_ITERS iterations left
-    some unsettled."""
+    Newton's method on the whole trajectory (see the module docstring).
+    Returns the rows settled, all of them or fewer if _NEWTON_ITERS
+    iterations left some unsettled, and their ℓ′ and ℓ″ at the pre-step
+    values."""
     k, d = a.shape
     size = _SUB_BLOCK
     count = -(-k // size)
@@ -293,43 +293,15 @@ def _newton_piece(rows, a, b, gamma, first: int, r_out, w_out) -> int:
         settled = err <= _NEWTON_TOL * scale + _TINY
         t, r, w = t_new, r_new, w_new
         if settled.all():
-            r_out[:], w_out[:] = r, w
             _check(rows, first)
-            return k
+            return k, r, w
         # rows before the first unsettled row j follow the straight loop,
         # and so does row j stepped with its exact ℓ′; a non-finite iterate
         # among them is the straight loop's divergence
         j = int(np.argmin(settled))
         rows[j + 1] = rows[j] - (gamma[j] * r[j]) * a[j]
         _check(rows[:j + 2], first)
-    r_out[:j + 1], w_out[:j + 1] = r[:j + 1], w[:j + 1]
-    return j + 1
-
-
-def _chunk(kind, xs_buf, a_blk, b_blk, steps, start: int):
-    """The iterates of one chunk, xs_buf[1:m+1] from xs_buf[0], with no
-    per-iteration loop (see the module docstring); returns ℓ′ and ℓ″ at the
-    pre-step values."""
-    m = len(b_blk)
-    logistic = kind is models.ModelKind.LOGISTIC
-    piece = max(_PIECE // _SUB_BLOCK, 1) * _SUB_BLOCK
-    r, w = np.empty(m), np.empty(m)
-    lo = 0
-    while lo < m:
-        hi = min(lo + piece, m)
-        args = (xs_buf[lo:hi + 1], a_blk[lo:hi], b_blk[lo:hi], steps[lo:hi],
-                start + lo)
-        if not logistic:
-            lo += _linear_piece(*args)
-            continue
-        done = _newton_piece(*args, r[lo:hi], w[lo:hi])
-        if done < hi - lo:
-            piece = max(piece // 2, _SUB_BLOCK)
-        lo += done
-    if logistic:
-        return r, w
-    return models.derivatives(kind, np.einsum("ij,ij->i", a_blk, xs_buf[:m]),
-                              b_blk)
+    return j + 1, r[:j + 1], w[:j + 1]
 
 
 def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
@@ -362,24 +334,28 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             raise ValueError("either rng or data must be provided")
         a_all, b_all = models.sample_dataset(model, n, rng)
 
-    size = min(_CHUNK, n)
-    # row 0 carries the iterate the chunk starts from, rows 1..m its iterates
-    xs_buf = np.empty((size + 1, d))
+    solve = (_newton_piece if model.kind is models.ModelKind.LOGISTIC
+             else _linear_piece)
+    # row 0 carries the iterate the piece starts from, rows 1.. its iterates
+    xs_buf = np.empty((min(_PIECE, n) + 1, d))
     xs_buf[0] = 0.0 if x0 is None else x0
     x_sum = np.zeros(d)
+    size, lo = _PIECE, 0
     # overflow inside the loop is the divergence we detect and raise on
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, n + 1, size):
-            m = min(size, n + 1 - start)
-            a_blk = a_all[start - 1:start - 1 + m]
-            b_blk = b_all[start - 1:start - 1 + m]
-            steps = schedule.step(np.arange(start, start + m, dtype=float))
-            rs, ws = _chunk(model.kind, xs_buf, a_blk, b_blk, steps, start)
-            xs = xs_buf[1:m + 1]
+        while lo < n:
+            m = min(size, n - lo)
+            steps = schedule.step(np.arange(lo + 1, lo + m + 1, dtype=float))
+            done, rs, ws = solve(xs_buf[:m + 1], a_all[lo:lo + m],
+                                 b_all[lo:lo + m], steps, lo + 1)
+            xs = xs_buf[1:done + 1]
             x_sum += xs.sum(axis=0)
             for s in sinks:
-                s.observe(start, xs, a_blk, rs, ws)
-            xs_buf[0] = xs_buf[m]
+                s.observe(lo + 1, xs, a_all[lo:lo + done], rs, ws)
+            xs_buf[0] = xs_buf[done]
+            lo += done
+            # an unsettled piece halves the next, a settled one doubles it
+            size = min(2 * m, _PIECE) if done == m else max(m // 2, 1)
     x_bar = x_sum / n
 
     estimates = []

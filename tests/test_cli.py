@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sgdinf import harness
 from sgdinf.cli import main
 
 CONFIG = """
@@ -133,6 +134,23 @@ class TestConfigErrors:
         assert err.startswith("error: ")
         assert "badvalue.yaml" in err and f"{where}: " in err
         assert not out.exists()
+
+    def test_out_that_is_a_file_is_exit_2_before_any_run(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        # the output directory was first made after every replication had
+        # run, and an existing file there ended in a FileExistsError
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario",
+                            lambda scn, workers: ran.append(scn))
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        rc = main(["simulate", "--config", str(config_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"cannot create output directory {out}: " in err
+        assert ran == []
+        assert out.read_text() == "keep me\n"
 
     def test_non_integer_workers_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "workers.yaml"

@@ -284,6 +284,17 @@ class TestConfig:
          (("coef_max: 10.0", "coef_max: -5.0"),), ["highdim-simulate"]),
         ("bad.yaml: workers: must be >= 1, got -3",
          (("workers: 1", "workers: -3"),), ["simulate"]),
+        # enumerate() read a number as the list of entries (TypeError, exit
+        # 1) and a mapping's keys as its entries
+        ("bad.yaml: scenarios: expected a list of entries, got int",
+         ((SMALL_YAML[SMALL_YAML.index("scenarios:"):SMALL_YAML.index("highdim:")],
+           "scenarios: 5\n"),), ["simulate"]),
+        ("bad.yaml: highdim: expected a list of entries, got int",
+         ((SMALL_YAML[SMALL_YAML.index("highdim:"):], "highdim: 7\n"),),
+         ["highdim-simulate"]),
+        ("bad.yaml: scenarios: expected a list of entries, got dict",
+         (("scenarios:\n  - id: smoke", "scenarios:\n    id: smoke"),),
+         ["simulate"]),
         ("--workers must be >= 1, got -3", (),
          ["simulate", "--workers", "-3"]),
     ])

@@ -12,6 +12,7 @@ from sgdinf.models import (
     derivatives,
     make_covariance,
     oracle_covariance,
+    sample_covariates,
     sample_dataset,
     sigmoid,
 )
@@ -105,6 +106,17 @@ class TestSampling:
         cov = rng.standard_normal((50, 3))
         a, _ = sample_dataset(model, 50, rng, covariates=cov)
         assert a is cov
+
+    @pytest.mark.parametrize("design,rho", [("identity", 0.0),
+                                            ("toeplitz", 0.5),
+                                            ("equicorr", 0.3)])
+    def test_dataset_draws_its_covariates_first(self, design, rho):
+        # a fixed design drawn with sample_covariates is the covariate half
+        # of sample_dataset's draw from the same seed
+        model = logistic_model(d=4, design=design, rho=rho)
+        a, _ = sample_dataset(model, 300, np.random.default_rng(5))
+        fixed = sample_covariates(model.design, 300, np.random.default_rng(5))
+        np.testing.assert_array_equal(a, fixed)
 
 
 def reference_loss(kind, t, b):

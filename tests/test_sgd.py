@@ -52,22 +52,23 @@ class RecordingSink(EstimatorSink):
         return None
 
 
-CHUNKS = (1, 7, sgd._CHUNK)
+# Piece sizes of the engine, which are also the sinks' block sizes.
+PIECES = (1, 7, sgd._PIECE)
 # Sub-block sizes of the triangular solve.
 BLOCKS = (1, 7, sgd._SUB_BLOCK)
 
 
-def each_chunk(monkeypatch):
-    """Set the engine's chunk size to each of CHUNKS in turn."""
-    for size in CHUNKS:
-        monkeypatch.setattr(sgd, "_CHUNK", size)
+def each_piece(monkeypatch):
+    """Set the engine's piece size to each of PIECES in turn."""
+    for size in PIECES:
+        monkeypatch.setattr(sgd, "_PIECE", size)
         yield size
 
 
 def each_engine(monkeypatch):
-    """Set the engine's chunk and sub-block sizes to each pair of
-    CHUNKS × BLOCKS in turn; yields the chunk size and the sub-block size."""
-    for size in each_chunk(monkeypatch):
+    """Set the engine's piece and sub-block sizes to each pair of
+    PIECES × BLOCKS in turn; yields the piece size and the sub-block size."""
+    for size in each_piece(monkeypatch):
         for block in BLOCKS:
             monkeypatch.setattr(sgd, "_SUB_BLOCK", block)
             yield size, block
@@ -97,12 +98,12 @@ class TestRun:
 
     def test_observe_order_and_count(self, rng, monkeypatch):
         # the blocks tile 1..n: contiguous, in order, each non-empty
-        for chunk in each_chunk(monkeypatch):
+        for piece in each_piece(monkeypatch):
             sink = RecordingSink()
             run(linear_model(), 250, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
             assert sink.calls == list(range(1, 251))
             assert all(len(xs) > 0 for _, xs, *_ in sink.blocks)
-            assert len(sink.blocks) == -(-250 // chunk)
+            assert len(sink.blocks) == -(-250 // piece)
 
     def test_deterministic_given_seed(self):
         model = linear_model()
@@ -140,8 +141,8 @@ class TestRun:
     @pytest.mark.parametrize("design", ["identity", "toeplitz"])
     def test_chunked_trace_matches_reference(self, kind, design, rng,
                                              monkeypatch):
-        # n = 1000 is no multiple of 7 or of the default chunk, and the
-        # batch boundaries (10, 40, 90, ...) straddle chunk edges
+        # n = 1000 is no multiple of 7 or of the default piece, and the
+        # batch boundaries (10, 40, 90, ...) straddle piece edges
         n = 1000
         if kind == "linear":
             model = models.ModelSpec(models.ModelKind.LINEAR,
@@ -164,9 +165,9 @@ class TestRun:
     @pytest.mark.parametrize("eta", [0.5, 1.1])
     @pytest.mark.parametrize("design", ["identity", "toeplitz"])
     def test_linear_solve_matches_reference(self, eta, design, monkeypatch):
-        # n = 5000 is no multiple of the linear sub-block, of its piece or
-        # of the chunk: the second chunk holds 904 rows, which end in a
-        # ragged sub-block. Pieces of about 50 rows make many per chunk.
+        # n = 5000 is no multiple of the linear sub-block or of its piece:
+        # the second piece holds 904 rows, which end in a ragged sub-block.
+        # Pieces of 50 rows make a hundred of them.
         n, d = 5000, 5
         model = models.ModelSpec(models.ModelKind.LINEAR,
                                  models.DesignSpec(design, d, 0.5),
@@ -189,9 +190,9 @@ class TestRun:
     @pytest.mark.parametrize("design", ["identity", "toeplitz"])
     def test_logistic_newton_matches_reference(self, eta, design,
                                                monkeypatch):
-        # n = 5000 is no multiple of the sub-block, of the piece or of the
-        # chunk. Steps of 20/sqrt(i) make Newton on a whole piece stall, so
-        # the engine must halve the piece.
+        # n = 5000 is no multiple of the sub-block or of the piece. Steps
+        # of 20/sqrt(i) make Newton on a whole piece stall, so the engine
+        # must halve the piece.
         n, d = 5000, 5
         model = logistic_model(design, d=d)
         a, b = models.sample_dataset(model, n, np.random.default_rng(11))
@@ -207,9 +208,9 @@ class TestRun:
                 pieces = []
 
                 def recording(rows, a, *args):
-                    settled = newton_piece(rows, a, *args)
-                    pieces.append((len(a), settled))
-                    return settled
+                    out = newton_piece(rows, a, *args)
+                    pieces.append((len(a), out[0]))
+                    return out
 
                 monkeypatch.setattr(sgd, "_newton_piece", recording)
                 trace = TraceSink(every=1)
@@ -218,10 +219,22 @@ class TestRun:
                 assert np.abs(trace.trace - ref).max() <= tol
                 assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
                 if eta == 20.0 and (block, piece) == defaults:
-                    # the first unsettled piece, and the halved one after it
-                    i = next(i for i, (k, done) in enumerate(pieces)
-                             if done < k)
-                    assert pieces[i + 1][0] <= pieces[i][0] // 2
+                    # the first pieces stall: each unsettled piece halves
+                    # the next, and once they settle each piece doubles
+                    # the next, back up to _PIECE. ends[i] is the
+                    # iteration piece i ends on, where piece i + 1 starts.
+                    ends = np.cumsum([done for _, done in pieces])
+                    assert ends[-1] == n
+                    halved = grew = 0
+                    for (k, done), (k_next, _), end in zip(pieces, pieces[1:],
+                                                           ends):
+                        if done < k:
+                            assert k_next <= k // 2
+                            halved += 1
+                        elif k < piece:
+                            assert k_next == min(2 * k, piece, n - end)
+                            grew += 1
+                    assert halved and grew
 
     @pytest.mark.parametrize("eta", [100.0, 1e4])
     def test_logistic_large_steps_raise_no_false_divergence(self, eta):
@@ -289,22 +302,18 @@ class TestRun:
         np.testing.assert_array_equal(sink.stacked(4), want_w)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), chunk_size=st.integers(1, 600),
-           block_size=st.integers(1, 40), piece=st.integers(1, 600),
-           logistic=st.booleans())
-    def test_estimates_do_not_depend_on_chunk_size(self, seed, chunk_size,
-                                                   block_size, piece,
-                                                   logistic):
+    @given(seed=st.integers(0, 2 ** 32 - 1), block_size=st.integers(1, 40),
+           piece=st.integers(1, 600), logistic=st.booleans())
+    def test_estimates_do_not_depend_on_chunk_size(self, seed, block_size,
+                                                   piece, logistic):
         n, d = 600, 3
         model = logistic_model(d=d) if logistic else linear_model(d=d)
         data = models.sample_dataset(model, n, np.random.default_rng(seed))
         out = []
-        for size, block, rows in ((chunk_size, block_size, piece),
-                                  (sgd._CHUNK, sgd._SUB_BLOCK, sgd._PIECE)):
+        for block, rows in ((block_size, piece), (sgd._SUB_BLOCK, sgd._PIECE)):
             sinks = [PluginAccumulator(d, lambda_a=0.1),
                      BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sgd, "_CHUNK", size)
                 mp.setattr(sgd, "_SUB_BLOCK", block)
                 mp.setattr(sgd, "_PIECE", rows)
                 state, est = run(model, n, StepSchedule(0.7, 0.5), sinks=sinks,
