@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .batchmeans import ScheduleError, make_schedule
-from .harness import ConfigError, simulate
+from .harness import ConfigError, ScenarioFailedError, simulate
 
 
 def _add_common(sub):
@@ -90,6 +90,9 @@ def main(argv=None) -> int:
     except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ScenarioFailedError as exc:    # results.json holds the failures
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 1
 
 

@@ -39,6 +39,17 @@ class ConfigError(ValueError):
     """Bad or missing harness configuration."""
 
 
+class ScenarioFailedError(RuntimeError):
+    """Every replication of a scenario failed; .failures holds the
+    (index, error) of each, in index order."""
+
+    def __init__(self, scenario_id: str, failures: list):
+        (index, error), count = failures[0], len(failures)
+        super().__init__(f"scenario {scenario_id}: all {count} replications "
+                         f"failed; replication {index}: {error}")
+        self.failures = failures
+
+
 def _check_shared(scn) -> None:
     """Reject a level q outside (0, 1), or fewer than one sample or one
     replication."""
@@ -446,7 +457,8 @@ def aggregate(scn, oracle: OracleBundle, results: list, wall_time: float) -> lis
     results = sorted(results, key=lambda r: r.index)
     ok = [r for r in results if r.ok]
     if not ok:
-        raise RuntimeError(f"scenario {scn.scenario_id}: no successful replications")
+        raise ScenarioFailedError(scn.scenario_id,
+                                  [(r.index, r.error) for r in results])
     rows = []
     oracle_len = float(oracle.lengths.mean())
     for label in scn.labels:
@@ -467,6 +479,7 @@ def aggregate(scn, oracle: OracleBundle, results: list, wall_time: float) -> lis
 def run_scenario(scn, workers: int = 1):
     """All replications of one scenario, low- or high-dimensional; returns
     (rows, failures), with the (index, error) of every failed replication.
+    Raises ScenarioFailedError if every replication failed.
 
     Replication i draws from the i-th seed spawned from the scenario seed,
     and results are reduced in index order, so the rows do not depend on
@@ -505,6 +518,7 @@ def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
             "cov_rate_pct": r.cov_rate, "avg_len": r.avg_len,
             "oracle_len": r.oracle_len, "n_sim": r.n_sim,
             "wall_time_s": r.wall_time, "intervals": r.intervals,
+            "n_failed": len(failures.get(r.scenario, ())),
             "cov_rate_se_pp": 100.0 * float(
                 np.sqrt(max(r.cov_rate / 100 * (1 - r.cov_rate / 100), 0.0)
                         / max(r.intervals, 1))),
@@ -520,7 +534,9 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
              section="scenarios"):
     """Run every scenario of one section of a config file: "scenarios" (the
     low-dimensional ones; `fixed_design` applies to these) or "highdim".
-    Writes results.csv and results.json to out_dir and returns the rows."""
+    Writes results.csv and results.json to out_dir and returns the rows. A
+    scenario whose replications all fail adds no rows; the rest still run,
+    and the first such ScenarioFailedError is raised after the writes."""
     cfg = load_config(config_path)
     if not cfg[section]:
         raise ConfigError(f"{config_path}: no '{section}' section")
@@ -542,9 +558,12 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: "
                           f"{exc.strerror}") from None
-    all_rows, failures = [], {}
+    all_rows, failures, failed = [], {}, None
     for scn in scenarios:
-        rows, fails = run_scenario(scn, workers=workers)
+        try:
+            rows, fails = run_scenario(scn, workers=workers)
+        except ScenarioFailedError as exc:
+            rows, fails, failed = [], exc.failures, failed or exc
         all_rows.extend(rows)
         if fails:
             failures[scn.scenario_id] = fails
@@ -553,4 +572,6 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
         echo["fixed_design"] = fixed_design
     write_results(all_rows, failures, out_dir, echo,
                   workers_used=effective_workers(workers))
+    if failed is not None:
+        raise failed
     return all_rows

@@ -119,19 +119,6 @@ class ModelSpec:
                    sigma=float(sigma) if sigma is not None else None)
 
 
-def sigmoid(t):
-    """Numerically stable 1/(1+exp(-t)); no overflow for any float input."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def sample_covariates(design: DesignSpec, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     """n covariates a ~ N(0, Σ) of a design, as the rows of an (n, d) array:
@@ -160,7 +147,9 @@ def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
     if model.kind is ModelKind.LINEAR:
         b = mean + model.sigma * rng.standard_normal(n)
     else:
-        b = np.where(rng.random(n) < sigmoid(mean), 1.0, -1.0)
+        # P(b = 1) = σ(aᵀx*), which is ℓ′(aᵀx*, −1)
+        p = derivatives(ModelKind.LOGISTIC, mean, -1.0)[0]
+        b = np.where(rng.random(n) < p, 1.0, -1.0)
     return a, b
 
 
@@ -173,8 +162,8 @@ def derivatives(kind: ModelKind, t, b):
     t = np.asarray(t, dtype=float)
     if kind is ModelKind.LINEAR:
         return t - b, np.ones(np.broadcast(t, b).shape)
-    # both sigmoids from one exp that cannot overflow, in the expressions
-    # `sigmoid` uses: σ(|t|) = 1/(1 + e) and σ(−|t|) = e/(1 + e)
+    # both sigmoids from one exp that cannot overflow: σ(|t|) = 1/(1 + e)
+    # and σ(−|t|) = e/(1 + e)
     e = np.exp(-np.abs(t))
     denom = 1.0 + e
     s_big = 1.0 / denom
@@ -213,14 +202,11 @@ def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
         rng = np.random.default_rng(np.random.SeedSequence(987654321))
     d = model.d
     acc = np.zeros((d, d))
-    remaining = mc_samples
     chunk = min(mc_samples, max(1, 8_000_000 // max(d, 1)))
-    while remaining > 0:
-        m = min(chunk, remaining)
-        a = sample_covariates(model.design, m, rng)
+    for done in range(0, mc_samples, chunk):
+        a = sample_covariates(model.design, min(chunk, mc_samples - done), rng)
         _, w = derivatives(model.kind, a @ model.xs, 1.0)
         acc += (a * w[:, None]).T @ a
-        remaining -= m
     return acc / mc_samples
 
 

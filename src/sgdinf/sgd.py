@@ -9,13 +9,13 @@ scalar derivatives ℓ′ and ℓ″, from which gradients ℓ′·a and Hessian
 
 With c_k = γ_k·ℓ′(a_kᵀx_{k−1}, b_k), the iterates are x_k = x_lo − Σ_{j≤k} c_j·a_j,
 and the one engine solves the affine recursion c_k = γ̃_k·a_kᵀx_{k−1} + h_k.
-A piece is cut into sub-blocks of _SUB_BLOCK rows. In a sub-block with Gram
-matrix G, c solves the unit-lower-triangular system
-(I + Γ̃·tril(G, −1))·c = Γ̃·A·x_lo + h. One forward substitution, batched
-over the piece's sub-blocks, gives each c as W·x_lo + w, and with it the
-affine map from a sub-block's x_lo to the next one's. A scan of
-log₂(sub-blocks) batched products composes the maps, and one product gives
-every c.
+A piece is cut into sub-blocks of _SUB_BLOCK rows. Each carries the affine
+map X with [x; −1] = X·[x_lo; −1] from its start iterate x_lo, from X = I:
+row j takes c_j = [γ̃_j·a_j; −h_j]ᵀ·X, a linear form in [x_lo; −1], and steps
+X ← X − a_j ⊗ c_j on X's first d rows, one row of all sub-blocks at a time
+(the sub-block index is the last, contiguous axis). A scan of
+log₂(sub-blocks) batched products composes the end maps into every x_lo,
+and with it every c.
 
 - Linear: ℓ′ = t − b is affine, so one solve with γ̃ = γ, h = −γ·b is exact.
 - Logistic: Newton's method on the whole trajectory of a piece. From the
@@ -23,11 +23,11 @@ every c.
   γ̃ = γ·ℓ″(t) and h = γ·(ℓ′(t) − ℓ″(t)·t), solves, and recomputes t from
   the rebuilt iterates. It stops when the linearisation residual
   |ℓ′(t_new) − ℓ′(t) − ℓ″(t)·(t_new − t)| is rounding next to its terms in
-  every row. The system is lower triangular, so the rows before the first
-  unsettled one are final. A piece still unsettled after _NEWTON_ITERS
-  iterations keeps those rows, and the first unsettled row stepped with its
-  exact ℓ′. The next piece is then half its size, and each piece that
-  settles doubles the next one, back up to _PIECE.
+  every row. Row k depends only on the rows before it, so the rows before
+  the first unsettled one are final. A piece still unsettled after
+  _NEWTON_ITERS iterations keeps those rows, and the first unsettled row
+  stepped with its exact ℓ′. The next piece is then half its size, and
+  each piece that settles doubles the next one, back up to _PIECE.
 
 Either way the iterates are rebuilt by a cumulative sum of −c_j·a_j, the
 same subtractions in the same order as the step-by-step recursion, and
@@ -145,12 +145,11 @@ class TraceSink(EstimatorSink):
         return None
 
 
-# Rows per sub-block of the triangular solve, and the most rows per piece:
-# the solver takes a piece in one batch and the sinks get it as one block.
-# A piece loops in CPython over the _SUB_BLOCK rows of its sub-blocks and
-# then over log₂ of its sub-block count; at d = 5, 16 measured fastest,
-# and pieces of 4096 ran faster than pieces of 2048, which cost the sinks
-# twice the calls. The batch's arrays take O(_PIECE·_SUB_BLOCK) memory.
+# Rows per sub-block, and the most rows per piece: the solver takes a piece
+# in one batch and the sinks get it as one block. A solve takes one CPython
+# step per sub-block row, then log₂(sub-blocks) scan steps. At d = 5 and
+# n = 1e5, run() took 26.1 / 23.8 / 24.8 ms (linear) and 86.6 / 76.4 / 81.5 ms
+# (logistic) with sub-blocks of 8 / 16 / 32 rows; pieces of 4096 beat 2048.
 _SUB_BLOCK = 16
 _PIECE = 4096
 # Newton iterations a logistic piece may take before it is halved. Above
@@ -188,35 +187,36 @@ def _rebuild(rows, a, c) -> None:
     np.cumsum(rows, axis=0, out=rows)
 
 
-def _pad(rows, count: int, size: int):
-    """rows, zero-padded to count·size rows and split into count sub-blocks
-    of size rows. A padded row has c = 0 and leaves the iterate as it is."""
-    out = np.zeros((count * size,) + rows.shape[1:])
+def _layout(rows, count: int, size: int):
+    """rows (k, m), zero-padded to count·size rows and laid out
+    (size, m, count): row j of sub-block s at [j, :, s]."""
+    out = np.zeros((count * size, rows.shape[1]))
     out[:len(rows)] = rows
-    return out.reshape((count, size) + rows.shape[1:])
+    return out.reshape(count, size, -1).transpose(1, 2, 0).copy()
 
 
-def _solve(gram, coef, a_t, x_lo):
+def _solve(weight, a, x_lo, coef):
     """Solve the affine recursion c_k = γ̃_k·a_kᵀx_{k−1} + h_k over the
     sub-blocks of a piece that starts from the iterate x_lo.
 
-    Per sub-block, gram holds Γ̃·G with G = A·Aᵀ and Γ̃ = diag(γ̃), coef
-    holds [Γ̃A | −h] and a_t holds Aᵀ. Overwrites coef so that c = coef·lows[s]
-    in sub-block s, and returns lows: lows[s] = [x_s; −1] for the iterate x_s
-    that sub-block s starts from.
+    weight holds [γ̃_j·a_j; −h_j] and a holds a_j, for row j of sub-block s
+    at [j, :, s]; a padded row has zero weight and leaves the iterate as it
+    is. coef is scratch of weight's shape. Returns (c, lows): c for every
+    row, padded ones included, in row order, and lows[s] = [x_s; −1] for
+    the iterate x_s that sub-block s starts from.
     """
-    count, size, width = coef.shape
-    # (I + Γ̃·tril(G, −1))·coef = [Γ̃A | −h]: forward substitution, one row
-    # of every sub-block at a time, reads only the strictly lower triangle
-    for j in range(1, size):
-        coef[:, j] -= (gram[:, j:j + 1, :j] @ coef[:, :j])[:, 0]
-    # [x_hi; −1] = T·[x_lo; −1] with T = [[I | 0] − Aᵀ·coef; 0 … 0 1]
-    maps = np.zeros((count, width, width))
-    np.matmul(a_t, coef, out=maps[:, :-1])
-    np.negative(maps, out=maps)
-    eye = np.arange(width)
-    maps[:, eye, eye] += 1.0
+    size, width, count = weight.shape
+    # maps[..., s] takes [x_s; −1] to [x; −1] for sub-block s's iterate x
+    # after the rows done so far; its last row stays [0 … 0 1]
+    maps = np.eye(width)[..., None].repeat(count, axis=2)
+    outer = np.empty((width - 1, width, count))
+    for j in range(size):
+        # c_j = [γ̃_j·a_j; −h_j]ᵀ·[x_{j−1}; −1], then x_j = x_{j−1} − c_j·a_j
+        np.einsum("is,ijs->js", weight[j], maps, out=coef[j])
+        np.einsum("is,js->ijs", a[j], coef[j], out=outer)
+        np.subtract(maps[:-1], outer, out=maps[:-1])
     # prefix products T_s·…·T_0 in log₂(count) steps (Hillis–Steele)
+    maps = np.ascontiguousarray(maps.transpose(2, 0, 1))
     step = 1
     while step < count:
         maps[step:] = maps[step:] @ maps[:-step]
@@ -224,7 +224,8 @@ def _solve(gram, coef, a_t, x_lo):
     lows = np.empty((count + 1, width))
     lows[0, :-1], lows[0, -1] = x_lo, -1.0
     np.matmul(maps, lows[0], out=lows[1:])
-    return lows
+    # c_j = coef[j, :, s]·[x_s; −1] for row j of sub-block s
+    return np.einsum("jis,si->sj", coef, lows[:-1]).ravel(), lows
 
 
 def _linear_piece(rows, a, b, gamma, first: int):
@@ -235,21 +236,16 @@ def _linear_piece(rows, a, b, gamma, first: int):
     k, d = a.shape
     size = _SUB_BLOCK
     count = -(-k // size)
-    ab = _pad(np.column_stack([a, b]), count, size)
-    gamma = _pad(gamma[:, None], count, size)
-    a_t = ab[..., :d].transpose(0, 2, 1)
-    gram = ab[..., :d] @ a_t
-    gram *= gamma
-    coef = gamma * ab
-    lows = _solve(gram, coef, a_t, rows[0])
+    a_lay = _layout(a, count, size)
+    weight = np.concatenate([a_lay, _layout(b[:, None], count, size)], axis=1)
+    weight *= _layout(gamma[:, None], count, size)
+    c, lows = _solve(weight, a_lay, rows[0], np.empty_like(weight))
     # rebuild no further than the first sub-block whose end state has
     # diverged; the next piece starts from the iterate the rebuild reached
     bad = _first_diverged(lows[1:, :d])
     if bad is not None:
-        count = bad + 1
-        k = min(k, count * size)
-    c = np.einsum("sbj,sj->sb", coef[:count], lows[:count]).ravel()[:k]
-    _rebuild(rows[:k + 1], a[:k], c)
+        k = min(k, (bad + 1) * size)
+    _rebuild(rows[:k + 1], a[:k], c[:k])
     _check(rows[:k + 1], first)
     t = np.einsum("ij,ij->i", a[:k], rows[:k])
     return (k, *models.derivatives(models.ModelKind.LINEAR, t, b[:k]))
@@ -264,25 +260,23 @@ def _newton_piece(rows, a, b, gamma, first: int):
     k, d = a.shape
     size = _SUB_BLOCK
     count = -(-k // size)
-    a_pad = _pad(a, count, size)
-    a_t = a_pad.transpose(0, 2, 1)
-    gram = a_pad @ a_t
+    a_lay = _layout(a, count, size)
     # buffers reused by every iteration; γ̃ and −h stay zero on padded rows
-    weight = np.zeros((count, size, 1))
-    scaled = np.empty_like(gram)
-    coef = np.zeros((count, size, d + 1))
+    flat = np.zeros((2, count * size))
+    gain, neg_h = flat.reshape(2, count, size).transpose(0, 2, 1)
+    weight = np.empty((size, d + 1, count))
+    coef = np.empty_like(weight)
     logistic = models.ModelKind.LOGISTIC
     t = np.einsum("ij,j->i", a, rows[0])   # no BLAS: see _first_diverged
     r, w = models.derivatives(logistic, t, b)
     for _ in range(_NEWTON_ITERS):
         # ℓ′(t_new) ≈ ℓ′(t) + ℓ″(t)·(t_new − t): γ̃ = γ·ℓ″, h = γ·(ℓ′ − ℓ″·t)
-        np.multiply(gamma, w, out=weight.reshape(-1)[:k])
-        np.multiply(gram, weight, out=scaled)
-        np.multiply(a_pad, weight, out=coef[..., :d])
-        coef.reshape(-1, d + 1)[:k, d] = gamma * (w * t - r)
-        lows = _solve(scaled, coef, a_t, rows[0])
-        c = np.einsum("sbj,sj->sb", coef, lows[:-1]).ravel()[:k]
-        _rebuild(rows, a, c)
+        np.multiply(gamma, w, out=flat[0, :k])
+        np.multiply(gamma, w * t - r, out=flat[1, :k])
+        np.multiply(a_lay, gain[:, None], out=weight[:, :d])
+        weight[:, d] = neg_h
+        c = _solve(weight, a_lay, rows[0], coef)[0]
+        _rebuild(rows, a, c[:k])
         t_new = np.einsum("ij,ij->i", a, rows[:-1])
         r_new, w_new = models.derivatives(logistic, t_new, b)
         # the linearisation's error at the new pre-step values, against
@@ -324,9 +318,7 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             raise ValueError(f"x0 has shape {x0.shape}, the model needs ({d},)")
 
     if data is not None:
-        a_all, b_all = data
-        a_all = np.asarray(a_all, dtype=float)
-        b_all = np.asarray(b_all, dtype=float)
+        a_all, b_all = (np.asarray(v, dtype=float) for v in data)
         if a_all.shape != (n, d) or b_all.shape != (n,):
             raise ValueError("data arrays do not match (n, d)")
     else:
@@ -356,17 +348,15 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             lo += done
             # an unsettled piece halves the next, a settled one doubles it
             size = min(2 * m, _PIECE) if done == m else max(m // 2, 1)
-    x_bar = x_sum / n
 
-    estimates = []
-    errors = {}
+    estimates, errors = [], {}
     for i, s in enumerate(sinks):
         try:
             estimates.append(s.finalize())
         except Exception as exc:  # collected per sink, reported together
             errors[f"{i}:{type(s).__name__}"] = exc
             estimates.append(None)
-    state = SgdState(x=xs_buf[0].copy(), x_bar=x_bar.copy())
+    state = SgdState(x=xs_buf[0].copy(), x_bar=x_sum / n)
     if errors:
         raise SinkFinalizeError(errors)
     return state, estimates

@@ -8,6 +8,18 @@ import pytest
 from sgdinf import models
 
 
+def sigmoid(t):
+    """1/(1+exp(-t)) by two masked formulas, independent of
+    models.derivatives; no overflow for any float input."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return float(out) if out.ndim == 0 else out
+
+
 def reference_sgd_trace(model, a_all, b_all, eta, alpha, x0=None):
     """Straight-line re-implementation of the recursion, kept independent of
     the package's run loop. Returns the full iterate trace (n, d)."""

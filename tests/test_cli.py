@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sgdinf import harness
 from sgdinf.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 CONFIG = """
 workers: 2
@@ -93,6 +96,54 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config_path), "--out", str(out),
                    "--fixed-design"])
         assert rc == 0
+
+
+    def test_golden_results_csv(self, tmp_path):
+        # tests/data/golden_results.csv was written by this config before
+        # the engine's kernel last changed; a change of arithmetic that
+        # moves any printed digit shows here
+        out = tmp_path / "golden"
+        assert main(["simulate", "--config", str(DATA / "golden.yaml"),
+                     "--out", str(out)]) == 0
+        assert ((out / "results.csv").read_bytes()
+                == (DATA / "golden_results.csv").read_bytes())
+
+    def test_all_replications_failing_is_exit_3_with_results(self, tmp_path,
+                                                              capsys):
+        # every replication diverges: the run used to end in a RuntimeError
+        # traceback and leave an empty --out
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(DATA / "all_fail.yaml"),
+                   "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: scenario all-fail-linear: all 2 ")
+        assert "replication 0: non-finite iterate at iteration " in err[0]
+        doc = json.loads((out / "results.json").read_text())
+        assert doc["rows"] == []
+        fails = doc["failures"]["all-fail-linear"]
+        assert [index for index, _ in fails] == [0, 1]
+        assert all(error.startswith("non-finite iterate") for _, error in fails)
+        assert (out / "results.csv").read_text().splitlines() == [
+            harness.CSV_HEADER]
+
+    def test_other_scenarios_still_written(self, tmp_path, capsys):
+        # a failing scenario first: the next one still runs and gets its rows
+        text = (DATA / "all_fail.yaml").read_text()
+        good = CONFIG[CONFIG.index("  - id: cli-smoke"):CONFIG.index("highdim:")]
+        path = tmp_path / "mixed.yaml"
+        path.write_text(text + good)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert "all-fail-linear" in capsys.readouterr().err
+        doc = json.loads((out / "results.json").read_text())
+        assert {row["scenario"] for row in doc["rows"]} == {"cli-smoke"}
+        assert all(row["n_failed"] == 0 for row in doc["rows"])
+        assert set(doc["failures"]) == {"all-fail-linear"}
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5
 
 
 class TestHighdimSimulate:

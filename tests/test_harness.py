@@ -475,9 +475,14 @@ class TestAggregate:
     def test_zero_successes_raise(self):
         scn = small_scenario(estimators=(EstimatorChoice("plugin"),))
         bundle = make_oracle_bundle(scn)
-        bad = ReplicationResult(index=0, ok=False, error="diverged")
-        with pytest.raises(RuntimeError):
-            aggregate(scn, bundle, [bad], 0.0)
+        bad = ReplicationResult(index=1, ok=False, error="diverged")
+        worse = ReplicationResult(index=0, ok=False, error="also diverged")
+        with pytest.raises(harness.ScenarioFailedError) as err:
+            aggregate(scn, bundle, [bad, worse], 0.0)
+        assert err.value.failures == [(0, "also diverged"), (1, "diverged")]
+        assert str(err.value) == (f"scenario {scn.scenario_id}: all 2 "
+                                  "replications failed; replication 0: "
+                                  "also diverged")
 
 
 class TestScenarioRuns:
@@ -500,13 +505,16 @@ class TestScenarioRuns:
     def test_write_results_layout(self, tmp_path):
         rows = [AggregateRow("s", "plugin", 95.0, 0.0123456, 0.012, 100, 1.5,
                              intervals=500)]
-        write_results(rows, {}, tmp_path, {"path": "x"}, workers_used=2)
+        failures = {"s": [(0, "diverged"), (4, "diverged")]}
+        write_results(rows, failures, tmp_path, {"path": "x"}, workers_used=2)
         csv = (tmp_path / "results.csv").read_text()
         assert csv.splitlines()[0] == harness.CSV_HEADER
         assert csv.splitlines()[1] == "s,plugin,95,0.0123456,0.012,100"
         doc = json.loads((tmp_path / "results.json").read_text())
         assert doc["workers_used"] == 2
         assert doc["rows"][0]["intervals"] == 500
+        assert doc["rows"][0]["n_failed"] == 2
+        assert doc["failures"] == {"s": [[0, "diverged"], [4, "diverged"]]}
 
     def test_coverage_se_counts_intervals(self, tmp_path):
         # d = 3 intervals per replication: the SE is over n_sim·d of them

@@ -14,8 +14,9 @@ from sgdinf.models import (
     oracle_covariance,
     sample_covariates,
     sample_dataset,
-    sigmoid,
 )
+
+from conftest import sigmoid
 
 
 def linear_model(d=5, design=DesignKind.IDENTITY, rho=0.0, sigma=1.0, x_star=None):
@@ -188,9 +189,9 @@ class TestDerivatives:
                                       (s_pos * s_neg).view(np.int64))
 
     def test_extreme_arguments(self):
-        assert sigmoid(10_000.0) == 1.0
-        assert sigmoid(-10_000.0) == 0.0
         t = np.array([-1e4, 1e4])
+        # σ(t) = ℓ′(t, −1), the response probability sample_dataset draws
+        assert list(derivatives(ModelKind.LOGISTIC, t, -1.0)[0]) == [0.0, 1.0]
         for b in (-1.0, 1.0):
             r, w = derivatives(ModelKind.LOGISTIC, t, b)
             assert np.isfinite(r).all() and np.isfinite(w).all()

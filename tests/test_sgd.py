@@ -54,7 +54,7 @@ class RecordingSink(EstimatorSink):
 
 # Piece sizes of the engine, which are also the sinks' block sizes.
 PIECES = (1, 7, sgd._PIECE)
-# Sub-block sizes of the triangular solve.
+# Sub-block sizes of the solver's map propagation.
 BLOCKS = (1, 7, sgd._SUB_BLOCK)
 
 
@@ -88,6 +88,68 @@ class TestStepSchedule:
     def test_eta_positive(self):
         with pytest.raises(ValueError):
             StepSchedule(eta=0.0, alpha=0.5)
+
+
+class TestSolve:
+    """sgd._solve against the plain per-row loop c_k = γ̃_k·a_kᵀx_{k−1} + h_k,
+    x_k = x_{k−1} − c_k·a_k."""
+
+    @staticmethod
+    def reference(a, gain, h, x_lo):
+        x = np.array(x_lo, dtype=float)
+        cs, xs = [], []
+        for a_k, g_k, h_k in zip(a, gain, h):
+            c = g_k * (a_k @ x) + h_k
+            x = x - c * a_k
+            cs.append(c)
+            xs.append(x)
+        return np.array(cs), np.array(xs)
+
+    # 6·size − 5 rows: six sub-blocks, no power of two, the last of them
+    # ragged for size > 1
+    @pytest.mark.parametrize("size", [1, 7, 16])
+    def test_matches_per_row_loop(self, size):
+        d, count = 5, 6
+        k = count * size - (5 if size > 1 else 0)
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal((k, d))
+        gain = 0.5 / np.sqrt(np.arange(1.0, k + 1.0))
+        h = rng.standard_normal(k)
+        gain[::4] = h[::4] = 0.0    # rows that leave the iterate as it is
+        x_lo = rng.standard_normal(d)
+        want_c, want_x = self.reference(a, gain, h, x_lo)
+        weight = sgd._layout(np.column_stack([gain[:, None] * a, -h]),
+                             count, size)
+        c, lows = sgd._solve(weight, sgd._layout(a, count, size), x_lo,
+                             np.empty_like(weight))
+        assert c.shape == (count * size,)
+        assert lows.shape == (count + 1, d + 1)
+        tol = 1e-12 * max(1.0, np.abs(want_c).max())
+        assert np.abs(c[:k] - want_c).max() <= tol
+        # padded rows take no step, and each sub-block starts where the
+        # loop's previous row ended: the last one's end is the last iterate
+        assert np.all(c[k:] == 0.0)
+        starts = np.vstack([x_lo, want_x[size - 1::size], want_x[-1]])
+        tol = 1e-12 * max(1.0, np.abs(want_x).max())
+        assert np.abs(lows[:, :d] - starts[:count + 1]).max() <= tol
+        assert np.all(lows[:, d] == -1.0)
+
+    def test_padded_rows_leave_the_map_unchanged(self):
+        # a sub-block of one real row and fifteen padded ones: the padded
+        # rows have c = 0 exactly, and the sub-block ends at the iterate
+        # after its one real row
+        d, size = 3, 16
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((1, d))
+        x_lo = rng.standard_normal(d)
+        weight = sgd._layout(np.column_stack([0.3 * a, [[0.7]]]), 1, size)
+        c, lows = sgd._solve(weight, sgd._layout(a, 1, size), x_lo,
+                             np.empty_like(weight))
+        want = 0.3 * (a[0] @ x_lo) - 0.7
+        assert c[0] == pytest.approx(want, rel=1e-15)
+        assert np.all(c[1:] == 0.0)
+        np.testing.assert_allclose(lows[1, :d], x_lo - want * a[0],
+                                   rtol=1e-15, atol=1e-15)
 
 
 class TestRun:
