@@ -34,9 +34,11 @@ class BatchSchedule:
     batch 0 is burn-in.
     """
 
-    m: int
-    alpha: float
     boundaries: tuple
+
+    @property
+    def m(self) -> int:
+        return len(self.boundaries) - 1
 
     @property
     def n(self) -> int:
@@ -75,7 +77,7 @@ def make_schedule(n: int, m: int, alpha: float) -> BatchSchedule:
         raise ScheduleError(
             f"degenerate schedule: batch {m} would be empty (e_{m-1}={prev} >= n={n})")
     bounds.append(n)
-    return BatchSchedule(m=m, alpha=alpha, boundaries=tuple(bounds))
+    return BatchSchedule(tuple(bounds))
 
 
 def batch_count(n: int, c: float = 0.25) -> int:

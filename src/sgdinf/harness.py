@@ -27,7 +27,7 @@ from .highdim import (DegenerateResidualError, RadarConfig, RadarConfigError,
                       epoch_plan, fit_debiased_lasso)
 from .inference import confidence_interval
 from .plugin import PluginAccumulator
-from .sgd import DivergenceError, StepSchedule, run
+from .sgd import DivergenceError, SinkFinalizeError, StepSchedule, run
 
 _DESIGN_TAG = 0xD351
 _XSTAR_TAG = 0x57A2
@@ -320,11 +320,9 @@ def load_config(path) -> dict:
 @dataclass
 class OracleBundle:
     """Per-scenario truth quantities computed once: the asymptotic
-    covariance, the true lambda_min(A) used by the plug-in threshold, and
-    the per-coordinate oracle interval lengths."""
+    covariance and the per-coordinate oracle interval lengths."""
 
     matrix: np.ndarray
-    lambda_a: float
     lengths: np.ndarray
 
 
@@ -337,9 +335,7 @@ def make_oracle_bundle(scn) -> OracleBundle:
     oracle = models.oracle_covariance(model, scn.oracle_mc_samples, rng)
     lengths = confidence_interval(np.zeros(model.d), oracle.matrix, scn.n,
                                   scn.q).lengths
-    return OracleBundle(matrix=oracle.matrix,
-                        lambda_a=float(np.linalg.eigvalsh(oracle.hessian).min()),
-                        lengths=lengths)
+    return OracleBundle(matrix=oracle.matrix, lengths=lengths)
 
 
 @dataclass
@@ -366,7 +362,7 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
     sinks = {}
     for choice in scn.estimators:
         if choice.kind == "plugin":
-            sinks[choice.label] = PluginAccumulator(model.d, lambda_a=oracle.lambda_a)
+            sinks[choice.label] = PluginAccumulator(model.d)
         elif choice.kind == "bm":
             schedule = make_schedule(scn.n, batch_count(scn.n, choice.c), scn.alpha)
             sinks[choice.label] = BatchMeansAccumulator(schedule, model.d)
@@ -375,7 +371,7 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
     try:
         state, estimates = run(model, scn.n, schedule, sinks=list(sinks.values()),
                                data=data)
-    except DivergenceError as exc:
+    except (DivergenceError, SinkFinalizeError) as exc:
         return ReplicationResult(index=rep_index, ok=False, error=str(exc))
 
     covs = dict(zip(sinks, estimates), oracle=oracle.matrix)
@@ -441,7 +437,9 @@ def _call(job):
 def effective_workers(requested: int) -> int:
     """Pool size actually used: the request, capped at the CPUs this
     process may run on."""
-    return max(1, min(int(requested), len(os.sched_getaffinity(0))))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)     # macOS and Windows: no affinity
+    return max(1, min(int(requested), cpus))
 
 
 def _map_jobs(job, jobs, workers: int):

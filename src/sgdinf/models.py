@@ -175,11 +175,9 @@ def derivatives(kind: ModelKind, t, b):
 
 @dataclass
 class OracleCovariance:
-    """The true asymptotic covariance A⁻¹SA⁻¹ of √n(x̄_n − x*), and the
-    population Hessian A it was formed from."""
+    """The true asymptotic covariance A⁻¹SA⁻¹ of √n(x̄_n − x*)."""
 
     matrix: np.ndarray
-    hessian: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -225,5 +223,5 @@ def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
         if np.linalg.cond(a) > 1e12:
             raise OracleError("Monte-Carlo Hessian is numerically singular")
         matrix = np.linalg.inv(a)
-    return OracleCovariance(matrix=0.5 * (matrix + matrix.T), hessian=a)
+    return OracleCovariance(matrix=0.5 * (matrix + matrix.T))
 

@@ -1,8 +1,8 @@
 """Streaming plug-in estimator of the sandwich covariance.
 
 Accumulates the running means of per-sample Hessians ℓ″·aaᵀ and gradient
-outer products (ℓ′)²·aaᵀ, one block of iterations at a time, clamps the
-Hessian-mean spectrum away from zero, and returns Ã⁻¹ S_n Ã⁻¹.
+outer products (ℓ′)²·aaᵀ, one block of iterations at a time, floors the
+Hessian-mean spectrum at its rank tolerance, and returns Ã⁻¹ S_n Ã⁻¹.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from .sgd import CovarianceEstimate, EstimatorSink
 
 class PluginAccumulator(EstimatorSink):
     """Streaming accumulator for A_n (Hessian mean) and S_n (gradient
-    outer-product mean); finalize() yields Ã⁻¹ S_n Ã⁻¹."""
+    outer-product mean); finalize() yields Ã⁻¹ S_n Ã⁻¹, Ã being A_n with its
+    eigenvalues floored at δ = d·ε·λ_max(A_n), its numerical-rank tolerance."""
 
-    def __init__(self, d: int, lambda_a: float):
-        if lambda_a <= 0:
-            raise ValueError("lambda_a must be positive")
+    def __init__(self, d: int):
         self.d = d
-        self.lambda_a = lambda_a
         self.sum_h = np.zeros((d, d))
         self.sum_g = np.zeros((d, d))
         self.count = 0
@@ -48,9 +46,10 @@ class PluginAccumulator(EstimatorSink):
     def finalize(self) -> CovarianceEstimate:
         if self.count < 1:
             raise ValueError("no observations accumulated")
-        floor = self.lambda_a / 2.0
         w, psi = np.linalg.eigh(self.a_n)
-        w = np.maximum(w, floor)
+        if not w[-1] > 0:
+            raise ValueError(f"Hessian mean has no positive eigenvalue ({w[-1]:.3g})")
+        w = np.maximum(w, self.d * np.finfo(float).eps * w[-1])
         inv = (psi / w) @ psi.T
         est = inv @ self.s_n @ inv
         return CovarianceEstimate(0.5 * (est + est.T))

@@ -172,7 +172,7 @@ def test_c06_estimator_consistency_trends():
     for seed in range(n_seeds):
         for n in sizes:
             rng = np.random.default_rng(np.random.SeedSequence((77, seed, n)))
-            sinks = [PluginAccumulator(5, lambda_a=1.0),
+            sinks = [PluginAccumulator(5),
                      BatchMeansAccumulator(
                          make_schedule(n, batch_count(n, 0.25), 0.5), 5)]
             _, (ep, eb) = run(model, n, sch, sinks=sinks, rng=rng)
@@ -262,7 +262,7 @@ def test_c09_streaming_equals_trace_replay():
     n, d = 1000, 5
     rng = np.random.default_rng(5150)
     data = models.sample_dataset(model, n, rng)
-    plug = PluginAccumulator(d, lambda_a=1.0)
+    plug = PluginAccumulator(d)
     sched = make_schedule(n, batch_count(n, 0.25), 0.5)
     bm = BatchMeansAccumulator(sched, d)
     trace = TraceSink(every=1)
@@ -277,7 +277,7 @@ def test_c09_streaming_equals_trace_replay():
     a_n = np.mean(hessians, axis=0)
     s_n = np.mean([np.outer(g, g) for g in grads], axis=0)
     w, psi = np.linalg.eigh(0.5 * (a_n + a_n.T))
-    inv = (psi / np.maximum(w, 0.5)) @ psi.T
+    inv = (psi / np.maximum(w, d * np.finfo(float).eps * w[-1])) @ psi.T
     plug_dense = inv @ (0.5 * (s_n + s_n.T)) @ inv
     plug_dev = float(np.abs(est_p.matrix - plug_dense).max())
 

@@ -44,7 +44,7 @@ class TestMakeSchedule:
         n = (m + 1) ** 2 + extra
         s = make_schedule(n, m, alpha)
         bounds = s.boundaries
-        assert len(bounds) == m + 1
+        assert len(bounds) == m + 1 and s.m == m
         assert bounds[-1] == n
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
         assert bounds[0] >= 1
@@ -83,7 +83,7 @@ def feed(acc, xs, block=3, start=1):
 
 class TestAccumulator:
     def test_burn_in_discarded_hand_case(self):
-        sched = BatchSchedule(m=1, alpha=0.5, boundaries=(1, 4))
+        sched = BatchSchedule(boundaries=(1, 4))
         acc = BatchMeansAccumulator(sched, 1)
         feed(acc, [1.0, 5.0, 5.0, 5.0])
         assert acc.batch_counts == [1, 3]
@@ -101,7 +101,7 @@ class TestAccumulator:
 
     def test_two_batch_hand_arithmetic(self):
         # means (1, 3) with sizes (2, 2): overall 2, estimate (1/2)(2+2) = 2
-        sched = BatchSchedule(m=2, alpha=0.5, boundaries=(1, 3, 5))
+        sched = BatchSchedule(boundaries=(1, 3, 5))
         acc = BatchMeansAccumulator(sched, 1)
         feed(acc, [9.0, 1.0, 1.0, 3.0, 3.0])
         est = acc.finalize()
@@ -174,7 +174,7 @@ class TestAccumulator:
         assert acc4.batch_counts == [11, 33]     # the bad block left no trace
 
     def test_overall_mean_needs_burn_in_to_end(self):
-        sched = BatchSchedule(m=1, alpha=0.5, boundaries=(2, 4))
+        sched = BatchSchedule(boundaries=(2, 4))
         acc = BatchMeansAccumulator(sched, 1)
         with pytest.raises(ProtocolError, match="burn-in"):
             acc.overall_mean
@@ -216,8 +216,7 @@ class TestBatchMeansFloor:
         assert np.all(dev <= 5 * se), (dev / se).max()
 
     def test_equal_batches_identity_bias(self):
-        sched = BatchSchedule(m=4, alpha=0.5,
-                              boundaries=(50, 100, 150, 200, 250))
+        sched = BatchSchedule(boundaries=(50, 100, 150, 200, 250))
         assert set(np.diff(sched.boundaries)) == {50}
         self._wishart_mean_check(sched, np.eye(3), draws=20_000)
 

@@ -1,10 +1,12 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from sgdinf import harness
 from sgdinf.cli import main
+from sgdinf.plugin import PluginAccumulator
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,6 +129,55 @@ class TestSimulate:
         assert all(error.startswith("non-finite iterate") for _, error in fails)
         assert (out / "results.csv").read_text().splitlines() == [
             harness.CSV_HEADER]
+
+    def test_sink_failures_are_failed_replications(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a raising finalize() used to escape simulate() as a
+        # SinkFinalizeError, exit 1 and leave --out empty
+        def refuse(self):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(PluginAccumulator, "finalize", refuse)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(DATA / "golden.yaml"),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "all 3 replications failed" in capsys.readouterr().err
+        doc = json.loads((out / "results.json").read_text())
+        assert doc["rows"] == []
+        for fails in doc["failures"].values():
+            assert [index for index, _ in fails] == [0, 1, 2]
+            assert all(error == "sink finalize failed: 0:PluginAccumulator: "
+                       "refused" for _, error in fails)
+
+    def test_one_sink_failure_is_counted(self, tmp_path, monkeypatch):
+        finalize = PluginAccumulator.finalize
+        calls = []
+
+        def first_refused(self):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("refused")
+            return finalize(self)
+
+        monkeypatch.setattr(PluginAccumulator, "finalize", first_refused)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(DATA / "golden.yaml"),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "results.json").read_text())
+        assert {row["scenario"]: (row["n_sim"], row["n_failed"])
+                for row in doc["rows"]} == {
+            "golden-linear-toeplitz": (2, 1), "golden-logistic-identity": (3, 0)}
+        assert list(doc["failures"]) == ["golden-linear-toeplitz"]
+
+    def test_runs_without_cpu_affinity(self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        out = tmp_path / "golden"
+        assert main(["simulate", "--config", str(DATA / "golden.yaml"),
+                     "--out", str(out), "--workers", "1"]) == 0
+        assert json.loads((out / "results.json").read_text())[
+            "workers_used"] == 1
 
     def test_other_scenarios_still_written(self, tmp_path, capsys):
         # a failing scenario first: the next one still runs and gets its rows

@@ -372,7 +372,6 @@ class TestOracleBundle:
     def test_linear_identity(self):
         bundle = make_oracle_bundle(small_scenario())
         np.testing.assert_allclose(bundle.matrix, np.eye(3), atol=1e-12)
-        assert bundle.lambda_a == pytest.approx(1.0)
         np.testing.assert_allclose(
             bundle.lengths, 2 * 1.959964 * np.sqrt(1 / 2000), rtol=1e-6)
 
@@ -383,8 +382,7 @@ class TestOracleBundle:
                  "x_star": [0.0, 0.0]}),
             oracle_mc_samples=200_000)
         bundle = make_oracle_bundle(scn)
-        # at x*=0 the true A is I/4, lambda_A = 1/4, covariance 4I
-        assert bundle.lambda_a == pytest.approx(0.25, abs=0.01)
+        # at x*=0 the true A is I/4, so the covariance is 4I
         np.testing.assert_allclose(bundle.matrix, 4 * np.eye(2), atol=0.15)
 
     @pytest.mark.parametrize("scn", [
@@ -533,6 +531,14 @@ class TestScenarioRuns:
         assert harness.effective_workers(4 * cpus) == cpus
         assert harness.effective_workers(1) == 1
         assert harness.effective_workers(0) == 1
+
+    @pytest.mark.parametrize("count, want", [(3, 3), (None, 1)])
+    def test_workers_without_cpu_affinity(self, monkeypatch, count, want):
+        # off Linux the cap falls back to os.cpu_count(), which may be None
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert harness.effective_workers(8) == want
+        assert harness.effective_workers(1) == 1
 
 
 class TestHighdimScenario:

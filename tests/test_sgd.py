@@ -373,7 +373,7 @@ class TestRun:
         data = models.sample_dataset(model, n, np.random.default_rng(seed))
         out = []
         for block, rows in ((block_size, piece), (sgd._SUB_BLOCK, sgd._PIECE)):
-            sinks = [PluginAccumulator(d, lambda_a=0.1),
+            sinks = [PluginAccumulator(d),
                      BatchMeansAccumulator(make_schedule(n, 5, 0.5), d)]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sgd, "_SUB_BLOCK", block)
