@@ -15,7 +15,8 @@ from .sgd import CovarianceEstimate, EstimatorSink
 class PluginAccumulator(EstimatorSink):
     """Streaming accumulator for A_n (Hessian mean) and S_n (gradient
     outer-product mean); finalize() yields Ã⁻¹ S_n Ã⁻¹, Ã being A_n with its
-    eigenvalues floored at δ = d·ε·λ_max(A_n), its numerical-rank tolerance."""
+    eigenvalues floored at δ = d·ε·λ_max(A_n), its numerical-rank tolerance.
+    finalize() raises ValueError when λ_max(A_n) ≤ 0 or 1/δ² overflows."""
 
     def __init__(self, d: int):
         self.d = d
@@ -49,7 +50,13 @@ class PluginAccumulator(EstimatorSink):
         w, psi = np.linalg.eigh(self.a_n)
         if not w[-1] > 0:
             raise ValueError(f"Hessian mean has no positive eigenvalue ({w[-1]:.3g})")
-        w = np.maximum(w, self.d * np.finfo(float).eps * w[-1])
+        floor = self.d * np.finfo(float).eps * w[-1]
+        # the estimate's entries scale up to 1/δ², which must be finite
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(1.0 / floor ** 2):
+                raise ValueError("Hessian mean is too small to invert "
+                                 f"(largest eigenvalue {w[-1]:.3g})")
+        w = np.maximum(w, floor)
         inv = (psi / w) @ psi.T
         est = inv @ self.s_n @ inv
         return CovarianceEstimate(0.5 * (est + est.T))

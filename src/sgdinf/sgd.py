@@ -17,23 +17,26 @@ X ← X − a_j ⊗ c_j on X's first d rows, one row of all sub-blocks at a time
 log₂(sub-blocks) batched products composes the end maps into every x_lo,
 and with it every c.
 
-- Linear: ℓ′ = t − b is affine, so one solve with γ̃ = γ, h = −γ·b is exact.
-- Logistic: Newton's method on the whole trajectory of a piece. From the
-  pre-step values t = A·x_lo, each iteration linearises ℓ′ at the current t,
-  γ̃ = γ·ℓ″(t) and h = γ·(ℓ′(t) − ℓ″(t)·t), solves, and recomputes t from
-  the rebuilt iterates. It stops when the linearisation residual
-  |ℓ′(t_new) − ℓ′(t) − ℓ″(t)·(t_new − t)| is rounding next to its terms in
-  every row. Row k depends only on the rows before it, so the rows before
-  the first unsettled one are final. A piece still unsettled after
-  _NEWTON_ITERS iterations keeps those rows, and the first unsettled row
-  stepped with its exact ℓ′. The next piece is then half its size, and
-  each piece that settles doubles the next one, back up to _PIECE.
+Every model's pieces go through one solver, Newton's method on the whole
+trajectory of a piece, which reads the loss only through
+models.derivatives. From the pre-step values t = A·x_lo, each iteration
+linearises ℓ′ at the current t, γ̃ = γ·ℓ″(t) and h = γ·(ℓ′(t) − ℓ″(t)·t),
+solves, and rebuilds the iterates by a cumulative sum of −c_j·a_j, the same
+subtractions in the same order as the step-by-step recursion. It then
+recomputes t from them, and stops when the linearisation residual
+|ℓ′(t_new) − ℓ′(t) − ℓ″(t)·(t_new − t)| is rounding next to its terms in
+every row. The linear model's ℓ′ = t − b is affine, so its pieces settle
+after the first solve. Row k depends only on the rows before it, so the
+rows before the first unsettled one are final. A piece still unsettled
+after _NEWTON_ITERS iterations keeps those rows, and the first unsettled
+row stepped with its exact ℓ′. The next piece is then half its size, and
+each piece that settles doubles the next one, back up to _PIECE.
 
-Either way the iterates are rebuilt by a cumulative sum of −c_j·a_j, the
-same subtractions in the same order as the step-by-step recursion, and
-checked for divergence. A run reports the iteration at which the
-step-by-step recursion first leaves the finite range, and stops within the
-piece that holds it.
+A run reports the iteration at which the step-by-step recursion first
+leaves the finite range. Each solve cuts its piece after the first
+sub-block whose end state is not finite, so the rebuild stops within the
+sub-block that holds that iteration. Only rows that follow the
+step-by-step recursion are checked for divergence.
 """
 
 from __future__ import annotations
@@ -228,35 +231,12 @@ def _solve(weight, a, x_lo, coef):
     return np.einsum("jis,si->sj", coef, lows[:-1]).ravel(), lows
 
 
-def _linear_piece(rows, a, b, gamma, first: int):
-    """The linear model's iterates rows[1:] of a piece, from rows[0]: the
-    one-step case γ̃ = γ, h = −γ·b, since ℓ′ = t − b. Returns the rows done,
-    fewer than len(b) only if a sub-block's end state diverged and its
-    rebuilt rows did not, and ℓ′ and ℓ″ at their pre-step values."""
-    k, d = a.shape
-    size = _SUB_BLOCK
-    count = -(-k // size)
-    a_lay = _layout(a, count, size)
-    weight = np.concatenate([a_lay, _layout(b[:, None], count, size)], axis=1)
-    weight *= _layout(gamma[:, None], count, size)
-    c, lows = _solve(weight, a_lay, rows[0], np.empty_like(weight))
-    # rebuild no further than the first sub-block whose end state has
-    # diverged; the next piece starts from the iterate the rebuild reached
-    bad = _first_diverged(lows[1:, :d])
-    if bad is not None:
-        k = min(k, (bad + 1) * size)
-    _rebuild(rows[:k + 1], a[:k], c[:k])
-    _check(rows[:k + 1], first)
-    t = np.einsum("ij,ij->i", a[:k], rows[:k])
-    return (k, *models.derivatives(models.ModelKind.LINEAR, t, b[:k]))
-
-
-def _newton_piece(rows, a, b, gamma, first: int):
-    """The logistic model's iterates rows[1:] of a piece, from rows[0], by
-    Newton's method on the whole trajectory (see the module docstring).
-    Returns the rows settled, all of them or fewer if _NEWTON_ITERS
-    iterations left some unsettled, and their ℓ′ and ℓ″ at the pre-step
-    values."""
+def _newton_piece(rows, a, b, gamma, first: int, kind: models.ModelKind):
+    """A piece's iterates rows[1:], from rows[0], by Newton's method on the
+    whole trajectory (see the module docstring). Returns the rows done, and
+    their ℓ′ and ℓ″ at the pre-step values: all rows, or fewer if a
+    sub-block's end state diverged and the rebuilt rows did not, or if
+    _NEWTON_ITERS iterations left some unsettled."""
     k, d = a.shape
     size = _SUB_BLOCK
     count = -(-k // size)
@@ -266,19 +246,26 @@ def _newton_piece(rows, a, b, gamma, first: int):
     gain, neg_h = flat.reshape(2, count, size).transpose(0, 2, 1)
     weight = np.empty((size, d + 1, count))
     coef = np.empty_like(weight)
-    logistic = models.ModelKind.LOGISTIC
     t = np.einsum("ij,j->i", a, rows[0])   # no BLAS: see _first_diverged
-    r, w = models.derivatives(logistic, t, b)
+    r, w = models.derivatives(kind, t, b)
     for _ in range(_NEWTON_ITERS):
         # ℓ′(t_new) ≈ ℓ′(t) + ℓ″(t)·(t_new − t): γ̃ = γ·ℓ″, h = γ·(ℓ′ − ℓ″·t)
         np.multiply(gamma, w, out=flat[0, :k])
         np.multiply(gamma, w * t - r, out=flat[1, :k])
         np.multiply(a_lay, gain[:, None], out=weight[:, :d])
         weight[:, d] = neg_h
-        c = _solve(weight, a_lay, rows[0], coef)[0]
+        c, lows = _solve(weight, a_lay, rows[0], coef)
+        # rebuild no further than the first sub-block whose end state has
+        # diverged; the rows after it wait for the next piece, which starts
+        # from the iterate the rebuild reached
+        bad = _first_diverged(lows[1:, :d])
+        if bad is not None and (bad + 1) * size < k:
+            k = (bad + 1) * size
+            rows = rows[:k + 1]
+            a, b, gamma, t, r, w = (v[:k] for v in (a, b, gamma, t, r, w))
         _rebuild(rows, a, c[:k])
         t_new = np.einsum("ij,ij->i", a, rows[:-1])
-        r_new, w_new = models.derivatives(logistic, t_new, b)
+        r_new, w_new = models.derivatives(kind, t_new, b)
         # the linearisation's error at the new pre-step values, against
         # its terms (γ > 0 cancels); NaN fails
         lin = w * (t_new - t)
@@ -326,8 +313,6 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
             raise ValueError("either rng or data must be provided")
         a_all, b_all = models.sample_dataset(model, n, rng)
 
-    solve = (_newton_piece if model.kind is models.ModelKind.LOGISTIC
-             else _linear_piece)
     # row 0 carries the iterate the piece starts from, rows 1.. its iterates
     xs_buf = np.empty((min(_PIECE, n) + 1, d))
     xs_buf[0] = 0.0 if x0 is None else x0
@@ -338,8 +323,9 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         while lo < n:
             m = min(size, n - lo)
             steps = schedule.step(np.arange(lo + 1, lo + m + 1, dtype=float))
-            done, rs, ws = solve(xs_buf[:m + 1], a_all[lo:lo + m],
-                                 b_all[lo:lo + m], steps, lo + 1)
+            done, rs, ws = _newton_piece(xs_buf[:m + 1], a_all[lo:lo + m],
+                                         b_all[lo:lo + m], steps, lo + 1,
+                                         model.kind)
             xs = xs_buf[1:done + 1]
             x_sum += xs.sum(axis=0)
             for s in sinks:

@@ -59,6 +59,17 @@ class TestClamp:
         with pytest.raises(ValueError, match="no positive eigenvalue"):
             acc.finalize()
 
+    # 5e-324 is the smallest subnormal, and δ underflows to 0; at 1e-170,
+    # δ ≈ 4e-186 is normal but 1/δ² overflows. Either estimate would be
+    # infinite, so the replication fails instead.
+    @pytest.mark.parametrize("d,value", [(1, 5e-324), (2, 1e-170)])
+    def test_rejects_spectrum_too_small_to_invert(self, d, value):
+        acc = PluginAccumulator(d)
+        observe_rows(acc, 1, np.eye(d), np.ones(d), np.full(d, d * value))
+        assert np.array_equal(acc.a_n, value * np.eye(d))
+        with pytest.raises(ValueError, match="too small to invert"):
+            acc.finalize()
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.floats(-4.0, 4.0), st.just(0.0),
                               st.floats(-1e-14, 1e-14)),

@@ -394,6 +394,31 @@ class TestRun:
             errs.append(np.linalg.norm(state.x_bar - model.xs))
         assert np.median(errs) < 0.05
 
+    @pytest.mark.parametrize("design", ["identity", "toeplitz"])
+    def test_linear_piece_solves_once(self, design, monkeypatch):
+        # ℓ′ = t − b is affine, so Newton's first linearisation is exact
+        # and every linear piece settles after one solve, at η = 1.1 too,
+        # where the early iterates grow before they settle
+        n, d = 1000, 5
+        model = models.ModelSpec(models.ModelKind.LINEAR,
+                                 models.DesignSpec(design, d, 0.5),
+                                 tuple(models.default_x_star(d)), sigma=1.0)
+        a, b = models.sample_dataset(model, n, np.random.default_rng(5))
+        x0 = np.array([3.0, -2.0, 0.5, 1.0, -1.5])
+        solve = sgd._solve
+        for size, _ in each_engine(monkeypatch):
+            solves = []
+
+            def counting(*args):
+                solves.append(1)
+                return solve(*args)
+
+            monkeypatch.setattr(sgd, "_solve", counting)
+            sink = RecordingSink()
+            run(model, n, StepSchedule(1.1, 0.5), x0=x0, sinks=[sink],
+                data=(a, b))
+            assert len(solves) == len(sink.blocks) == -(-n // size)
+
     def test_divergence_raised_with_context(self, monkeypatch):
         model = linear_model()
         a, b = models.sample_dataset(model, 3000, np.random.default_rng(0))
@@ -443,13 +468,34 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             ref = reference_sgd_trace(model, a, b, eta=0.5, alpha=0.5)
             want = 1 + int(np.flatnonzero(~np.isfinite((ref * ref).sum(axis=1)))[0])
-        for _ in each_engine(monkeypatch):
+        newton_piece, cumsum = sgd._newton_piece, np.cumsum
+        for _, block in each_engine(monkeypatch):
+            # each cumulative sum rebuilds the rows after rows[0] of the
+            # piece that starts at iteration firsts[-1]
+            firsts, rebuilt = [], []
+
+            def recording(rows, a, b, gamma, first, *args):
+                firsts.append(first)
+                return newton_piece(rows, a, b, gamma, first, *args)
+
+            def counting_cumsum(rows, *args, **kwargs):
+                rebuilt.append(len(rows) - 1)
+                return cumsum(rows, *args, **kwargs)
+
+            monkeypatch.setattr(sgd, "_newton_piece", recording)
+            monkeypatch.setattr(np, "cumsum", counting_cumsum)
             sink = RecordingSink()
             with pytest.raises(DivergenceError) as err:
                 run(model, 300, StepSchedule(0.5, 0.5), sinks=[sink],
                     data=(a, b))
             assert err.value.iteration == want == 151
             assert all(np.isfinite(xs).all() for _, xs, *_ in sink.blocks)
+            # a logistic piece rebuilds once per Newton iteration: the last
+            # rebuild before the raise ends within the sub-block of its
+            # piece that holds iteration want
+            first, last = firsts[-1], firsts[-1] - 1 + rebuilt[-1]
+            assert want <= last
+            assert (last - first) // block == (want - first) // block
 
     def test_logistic_steps_over_huge_covariate(self, monkeypatch):
         # With a covariate of 1e200, b·aᵀx is about 8e199 at iteration 151,
