@@ -8,13 +8,13 @@ an epoch-based dual-averaging solver and one-step debiasing.
 """
 
 from .batchmeans import BatchMeansAccumulator, BatchSchedule, make_schedule
-from .inference import CiReport, confidence_interval, z_quantile, z_test
+from .inference import (CiReport, CovarianceEstimate, confidence_interval,
+                        z_quantile, z_test)
 from .models import (
     DesignKind,
     DesignSpec,
     ModelKind,
     ModelSpec,
-    OracleCovariance,
     derivatives,
     make_covariance,
     oracle_covariance,
@@ -33,7 +33,6 @@ from .highdim import (
 )
 from .plugin import PluginAccumulator
 from .sgd import (
-    CovarianceEstimate,
     DivergenceError,
     EstimatorSink,
     SgdState,
@@ -46,7 +45,7 @@ __all__ = [
     "BatchMeansAccumulator", "BatchSchedule", "make_schedule",
     "CovarianceEstimate", "CiReport", "confidence_interval", "z_quantile",
     "z_test", "DesignKind", "DesignSpec", "ModelKind", "ModelSpec",
-    "OracleCovariance", "derivatives", "make_covariance", "oracle_covariance",
+    "derivatives", "make_covariance", "oracle_covariance",
     "PluginAccumulator", "DivergenceError", "EstimatorSink", "SgdState",
     "StepSchedule", "TraceSink", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",

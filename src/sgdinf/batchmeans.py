@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sgd import CovarianceEstimate, EstimatorSink
+from .inference import CovarianceEstimate
+from .sgd import EstimatorSink
 
 
 class ScheduleError(ValueError):

@@ -429,25 +429,17 @@ def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
         lengths={s0: report.lengths[active], s0c: report.lengths[~active]})
 
 
-def _call(job):
-    replicate, *args = job
-    return replicate(*args)
-
-
 def effective_workers(requested: int) -> int:
-    """Pool size actually used: the request, capped at the CPUs this
-    process may run on."""
+    """The requested worker count, capped at the CPUs this process may run
+    on."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)     # macOS and Windows: no affinity
     return max(1, min(int(requested), cpus))
 
 
-def _map_jobs(job, jobs, workers: int):
-    workers = effective_workers(workers)
-    if workers <= 1:
-        return [job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, jobs, chunksize=1))
+def pool_size(workers: int, replications: int) -> int:
+    """effective_workers, capped at the replications; 1 runs in-process."""
+    return min(effective_workers(workers), replications)
 
 
 def aggregate(scn, oracle: OracleBundle, results: list, wall_time: float) -> list:
@@ -487,9 +479,15 @@ def run_scenario(scn, workers: int = 1):
                  else run_replication)
     t0 = time.monotonic()
     oracle = make_oracle_bundle(scn)
-    children = np.random.SeedSequence(scn.seed).spawn(scn.n_sim)
-    jobs = [(replicate, scn, oracle, i, children[i]) for i in range(scn.n_sim)]
-    results = _map_jobs(_call, jobs, workers)
+    n_sim = scn.n_sim
+    args = ([scn] * n_sim, [oracle] * n_sim, range(n_sim),
+            np.random.SeedSequence(scn.seed).spawn(n_sim))
+    workers = pool_size(workers, n_sim)
+    if workers <= 1:
+        results = list(map(replicate, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(replicate, *args, chunksize=1))
     rows = aggregate(scn, oracle, results, time.monotonic() - t0)
     return rows, [(r.index, r.error) for r in results if not r.ok]
 
@@ -568,8 +566,8 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
     echo = {"path": str(config_path), "workers": workers, "seed_override": seed}
     if section == "scenarios":
         echo["fixed_design"] = fixed_design
-    write_results(all_rows, failures, out_dir, echo,
-                  workers_used=effective_workers(workers))
+    used = max(pool_size(workers, scn.n_sim) for scn in scenarios)
+    write_results(all_rows, failures, out_dir, echo, workers_used=used)
     if failed is not None:
         raise failed
     return all_rows

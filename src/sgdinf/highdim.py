@@ -99,7 +99,8 @@ class RadarConfig:
     t_min: int = 8
 
     def __post_init__(self):
-        if self.r1 < 0 or self.total_n < 1 or self.t_min < 1:
+        if (not math.isfinite(self.r1) or self.r1 < 0 or self.total_n < 1
+                or self.t_min < 1):
             raise RadarConfigError("invalid radar configuration")
 
 

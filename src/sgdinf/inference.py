@@ -1,7 +1,8 @@
 """Per-coordinate confidence intervals and z-tests from a covariance estimate.
 
-Everything here is a pure function of its arguments; no state, safe to call
-from any thread.
+A sink's or the oracle's covariance is a CovarianceEstimate; this module
+imports nothing from the package, so every module can import it from here.
+The functions are pure: no state, safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -13,6 +14,18 @@ from statistics import NormalDist
 import numpy as np
 
 _STANDARD_NORMAL = NormalDist()
+
+
+@dataclass
+class CovarianceEstimate:
+    """A d×d estimate of the asymptotic covariance of the averaged iterate."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("covariance estimate must be a square matrix")
 
 
 class EstimatorCorruptionError(ValueError):

@@ -14,13 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inference import CovarianceEstimate
+
 
 class InvalidDesignError(ValueError):
     """Design parameters outside the positive-definite range."""
 
 
 class OracleError(RuntimeError):
-    """Oracle covariance could not be formed (numerically singular Hessian)."""
+    """Oracle covariance could not be formed (singular Hessian or negative
+    diagonal)."""
 
 
 class DesignKind(str, enum.Enum):
@@ -173,22 +176,6 @@ def derivatives(kind: ModelKind, t, b):
     return -b * np.where((b > 0) == (t >= 0), s_small, s_big), s_big * s_small
 
 
-@dataclass
-class OracleCovariance:
-    """The true asymptotic covariance A⁻¹SA⁻¹ of √n(x̄_n − x*)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise OracleError("oracle covariance is not symmetric")
-        if np.any(np.diag(m) < 0):   # zero only for the noiseless linear model
-            raise OracleError("oracle covariance has a negative diagonal")
-        self.matrix = m
-
-
 def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
                        rng: np.random.Generator | None = None) -> np.ndarray:
     """A = ∇²F(x*): exact Σ for the linear model, Monte-Carlo mean of the
@@ -209,8 +196,8 @@ def population_hessian(model: ModelSpec, mc_samples: int = 1_000_000,
 
 
 def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
-                      rng: np.random.Generator | None = None) -> OracleCovariance:
-    """True A⁻¹SA⁻¹.
+                      rng: np.random.Generator | None = None) -> CovarianceEstimate:
+    """True A⁻¹SA⁻¹ of √n(x̄_n − x*), symmetrized.
 
     Linear: σ²Σ⁻¹ in closed form (A = Σ, S = σ²Σ). Logistic: the model is
     well-specified so S = A and the sandwich collapses to Â⁻¹ with Â a
@@ -223,5 +210,7 @@ def oracle_covariance(model: ModelSpec, mc_samples: int = 1_000_000,
         if np.linalg.cond(a) > 1e12:
             raise OracleError("Monte-Carlo Hessian is numerically singular")
         matrix = np.linalg.inv(a)
-    return OracleCovariance(matrix=0.5 * (matrix + matrix.T))
+    if np.any(np.diag(matrix) < 0):   # zero only for the noiseless linear model
+        raise OracleError("oracle covariance has a negative diagonal")
+    return CovarianceEstimate(0.5 * (matrix + matrix.T))
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sgd import CovarianceEstimate, EstimatorSink
+from .inference import CovarianceEstimate
+from .sgd import EstimatorSink
 
 
 class PluginAccumulator(EstimatorSink):

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .inference import CovarianceEstimate
 
 
 class DivergenceError(RuntimeError):
@@ -77,6 +78,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if not 0.5 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0.5, 1), got {self.alpha}")
 
@@ -91,18 +94,6 @@ class SgdState:
 
     x: np.ndarray
     x_bar: np.ndarray
-
-
-@dataclass
-class CovarianceEstimate:
-    """A d×d estimate of the asymptotic covariance of the averaged iterate."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("covariance estimate must be a square matrix")
 
 
 class EstimatorSink:

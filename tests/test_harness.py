@@ -540,6 +540,34 @@ class TestScenarioRuns:
         assert harness.effective_workers(8) == want
         assert harness.effective_workers(1) == 1
 
+    def test_pool_never_larger_than_replications(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert harness.pool_size(8, 3) == 3
+        assert harness.pool_size(2, 1) == 1
+        assert harness.pool_size(4, 10) == 4
+        assert harness.pool_size(16, 10) == 8
+
+    def test_one_replication_runs_in_process(self, tmp_path, monkeypatch):
+        # two CPUs and two workers, but one replication: no pool is forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        pools = []
+        real = harness.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spy)
+        path = tmp_path / "one.yaml"
+        path.write_text(SMALL_YAML.replace("    n_sim: 4", "    n_sim: 1"))
+        rows = harness.simulate(path, tmp_path / "out", workers=2)
+        assert pools == []
+        assert {r.n_sim for r in rows} == {1}
+        doc = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert doc["workers_used"] == 1
+
 
 class TestHighdimScenario:
     def test_smoke_with_split_rows(self):

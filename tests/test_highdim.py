@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,11 @@ class TestEpochPlan:
     def test_budget_too_small(self):
         with pytest.raises(RadarConfigError):
             epoch_plan(RadarConfig(r1=1.0, s_bound=1, total_n=3, t_min=8), 10)
+
+    @pytest.mark.parametrize("r1", [math.nan, math.inf, -1.0])
+    def test_radius_must_be_finite_and_nonnegative(self, r1):
+        with pytest.raises(RadarConfigError):
+            RadarConfig(r1=r1, s_bound=1, total_n=100)
 
     def test_length_grows_as_radius_shrinks(self):
         cfg = RadarConfig(r1=4.0, s_bound=3, total_n=100_000, t_min=8)

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import sgdinf
+from sgdinf import inference
 from sgdinf.inference import (
     CiReport,
     EstimatorCorruptionError,
@@ -89,6 +91,12 @@ class TestConfidenceInterval:
         est = CovarianceEstimate(np.eye(2))
         rep = confidence_interval(np.zeros(2), est, 10000, 0.05)
         np.testing.assert_allclose(rep.half_width, 0.0195996, atol=1e-6)
+
+    def test_one_covariance_type(self):
+        # the sinks and the oracle share the type defined in inference
+        assert sgdinf.CovarianceEstimate is inference.CovarianceEstimate
+        assert CovarianceEstimate is inference.CovarianceEstimate
+        assert "OracleCovariance" not in sgdinf.__all__
 
     def test_hit_flags(self):
         rep = confidence_interval(np.array([0.0, 0.0]), np.eye(2), 100, 0.05,

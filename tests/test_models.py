@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from sgdinf.inference import confidence_interval
+from sgdinf import models
+from sgdinf.inference import CovarianceEstimate, confidence_interval
 from sgdinf.models import (
     DesignKind,
     DesignSpec,
     InvalidDesignError,
     ModelKind,
     ModelSpec,
+    OracleError,
     default_x_star,
     derivatives,
     make_covariance,
@@ -202,6 +204,22 @@ class TestOracle:
     def test_linear_identity(self):
         got = oracle_covariance(linear_model(d=4))
         np.testing.assert_allclose(got.matrix, np.eye(4), atol=1e-12)
+
+    def test_is_a_covariance_estimate(self):
+        # the same type the plug-in and batch-means sinks return
+        assert isinstance(oracle_covariance(linear_model(d=2)), CovarianceEstimate)
+
+    def test_singular_monte_carlo_hessian_raises(self, monkeypatch):
+        monkeypatch.setattr(models, "population_hessian",
+                            lambda *a, **k: np.diag([1.0, 0.0]))
+        with pytest.raises(OracleError, match="numerically singular"):
+            oracle_covariance(logistic_model(d=2))
+
+    def test_negative_diagonal_raises(self, monkeypatch):
+        monkeypatch.setattr(models, "population_hessian",
+                            lambda *a, **k: -np.eye(2))
+        with pytest.raises(OracleError, match="negative diagonal"):
+            oracle_covariance(linear_model(d=2))
 
     def test_linear_toeplitz_tridiagonal_diag(self):
         got = oracle_covariance(linear_model(d=5, design=DesignKind.TOEPLITZ, rho=0.5))

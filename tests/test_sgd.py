@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,12 @@ class TestStepSchedule:
     def test_eta_positive(self):
         with pytest.raises(ValueError):
             StepSchedule(eta=0.0, alpha=0.5)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_eta_finite(self, eta):
+        # a bad argument, not a DivergenceError at iteration 1
+        with pytest.raises(ValueError, match="eta must be finite"):
+            StepSchedule(eta=eta, alpha=0.5)
 
 
 class TestSolve:
