@@ -31,7 +31,6 @@ from .sgd import DivergenceError, SinkFinalizeError, StepSchedule, run
 
 _DESIGN_TAG = 0xD351
 _XSTAR_TAG = 0x57A2
-_ORACLE_TAG = 0x0AC1
 _R1_SLACK = 1.1     # high-dimensional l1 radii over the true l1 norms
 
 
@@ -84,15 +83,11 @@ class ScenarioConfig:
     q: float = 0.05
     estimators: tuple = ()
     fixed_design: bool = False
-    oracle_mc_samples: int = 1_000_000
 
     def __post_init__(self):
         _check_shared(self)
         if not self.estimators:
             raise ValueError("scenario selects no estimators")
-        if self.oracle_mc_samples < 1:
-            raise ValueError(f"oracle_mc_samples must be >= 1, got "
-                             f"{self.oracle_mc_samples}")
         StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
         for choice in self.estimators:
             if choice.kind == "bm":     # raises ScheduleError if infeasible
@@ -128,8 +123,6 @@ class HighDimScenario:
     sigma: float = 1.0
     q: float = 0.05
     t_min: int = 8
-    # The model is linear, so its oracle is closed-form and draws nothing.
-    oracle_mc_samples: ClassVar[int] = 0
     labels: ClassVar[tuple] = ("debiased-s0", "debiased-s0c")
 
     def __post_init__(self):
@@ -259,8 +252,7 @@ def _parse_estimators(cfg: dict) -> tuple:
 _SCENARIO_FIELDS = {
     "id": str, "model": _parse_model, "n": _integer, "n_sim": _integer,
     "seed": _integer, "alpha": _real, "eta": _real, "q": _real,
-    "estimators": _parse_estimators, "fixed_design": _flag,
-    "oracle_mc_samples": _integer}
+    "estimators": _parse_estimators, "fixed_design": _flag}
 _HIGHDIM_FIELDS = {
     "id": str, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
     "n_sim": _integer, "coef_max": _real, "design": models.DesignKind,
@@ -328,14 +320,11 @@ class OracleBundle:
 
 def make_oracle_bundle(scn) -> OracleBundle:
     """The oracle quantities of a scenario's model, low- or high-dimensional,
-    from models.oracle_covariance: for the linear model σ²Σ⁻¹ in closed
-    form, for logistic the inverse of a seeded Monte-Carlo Hessian."""
-    model = scn.model
-    rng = np.random.default_rng(np.random.SeedSequence((scn.seed, _ORACLE_TAG)))
-    oracle = models.oracle_covariance(model, scn.oracle_mc_samples, rng)
-    lengths = confidence_interval(np.zeros(model.d), oracle.matrix, scn.n,
-                                  scn.q).lengths
-    return OracleBundle(matrix=oracle.matrix, lengths=lengths)
+    from models.oracle_covariance: σ²Σ⁻¹ for the linear model and A⁻¹ for
+    logistic, both in closed form, so nothing is drawn."""
+    matrix = models.oracle_covariance(scn.model).matrix
+    ci = confidence_interval(np.zeros(scn.model.d), matrix, scn.n, scn.q)
+    return OracleBundle(matrix=matrix, lengths=ci.lengths)
 
 
 @dataclass

@@ -75,6 +75,8 @@ class CiReport:
 
 def confidence_interval(x_bar, cov, n: int, q: float, truth=None) -> CiReport:
     """Intervals x̄_j ± z_{q/2}·sqrt(max(cov_jj, 0)/n) for every coordinate."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q}")
     x_bar = np.asarray(x_bar, dtype=float)
     matrix = np.asarray(getattr(cov, "matrix", cov), dtype=float)
     if matrix.shape != (x_bar.size, x_bar.size):
@@ -94,10 +96,12 @@ def confidence_interval(x_bar, cov, n: int, q: float, truth=None) -> CiReport:
 def z_test(x_bar_j: float, cov_jj: float, n: int, null_value: float = 0.0):
     """Two-sided z-test of coordinate j against a null value.
 
-    Returns (z statistic, p-value). Requires a strictly positive variance.
+    Returns (z statistic, p-value) for a finite positive variance and n >= 1.
     """
-    if cov_jj <= 0:
-        raise ValueError(f"variance must be positive, got {cov_jj}")
+    if not 0 < cov_jj < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {cov_jj}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     z = math.sqrt(n) * (x_bar_j - null_value) / math.sqrt(cov_jj)
     p = 2.0 * _STANDARD_NORMAL.cdf(-abs(z))
     return z, p

@@ -194,8 +194,6 @@ class TestConfig:
         ("scenarios[0]: n", "    n: 2000", "    n: {}"),
         ("scenarios[0]: n_sim", "    n_sim: 4", "    n_sim: {}"),
         ("scenarios[0]: seed", "    seed: 11", "    seed: {}"),
-        ("scenarios[0]: oracle_mc_samples", "    q: 0.05",
-         "    q: 0.05\n    oracle_mc_samples: {}"),
         ("scenarios[0]: model: d", "      d: 3", "      d: {}"),
         ("highdim[0]: n", "    n: 60", "    n: {}"),
         ("highdim[0]: d", "    d: 12", "    d: {}"),
@@ -268,10 +266,10 @@ class TestConfig:
          ["highdim-simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 12), got -1",
          (("    s0: 2", "    s0: -1"),), ["highdim-simulate"]),
-        # a Monte-Carlo Hessian of no draws divides by zero
-        ("scenarios[0]: oracle_mc_samples must be >= 1, got 0",
+        # the exact logistic oracle has no sample count to set
+        ("scenarios[0]: unknown key(s) oracle_mc_samples in scenario",
          (("kind: linear", "kind: logistic"), ("      sigma: 1.0\n", ""),
-          ("    q: 0.05", "    q: 0.05\n    oracle_mc_samples: 0")),
+          ("    q: 0.05", "    q: 0.05\n    oracle_mc_samples: 20000")),
          ["simulate"]),
         # M = round(n^c) = 1 writes rows of coverage 0 and length 0
         ("scenarios[0]: batch_means: exponent -0.5 gives M = 1 batch at "
@@ -375,15 +373,14 @@ class TestOracleBundle:
         np.testing.assert_allclose(
             bundle.lengths, 2 * 1.959964 * np.sqrt(1 / 2000), rtol=1e-6)
 
-    def test_logistic_uses_monte_carlo(self):
+    def test_logistic_zero_truth_is_exact(self):
         scn = small_scenario(
             model=models.ModelSpec.from_config(
                 {"kind": "logistic", "design": "identity", "d": 2,
-                 "x_star": [0.0, 0.0]}),
-            oracle_mc_samples=200_000)
+                 "x_star": [0.0, 0.0]}))
         bundle = make_oracle_bundle(scn)
-        # at x*=0 the true A is I/4, so the covariance is 4I
-        np.testing.assert_allclose(bundle.matrix, 4 * np.eye(2), atol=0.15)
+        # at x*=0 the true A is I/4, so the covariance is 4I to the bit
+        np.testing.assert_array_equal(bundle.matrix, 4 * np.eye(2))
 
     @pytest.mark.parametrize("scn", [
         load_config(Path(__file__).parent.parent / "configs"

@@ -98,6 +98,12 @@ class TestConfidenceInterval:
         assert CovarianceEstimate is inference.CovarianceEstimate
         assert "OracleCovariance" not in sgdinf.__all__
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.05, math.nan])
+    def test_rejects_level_outside_open_unit_interval(self, q):
+        # q = 1 gave zero-length intervals and q = 1.5 a "negative half-width"
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\), got"):
+            confidence_interval(np.zeros(2), np.eye(2), 100, q)
+
     def test_hit_flags(self):
         rep = confidence_interval(np.array([0.0, 0.0]), np.eye(2), 100, 0.05,
                                   truth=np.array([0.1, 5.0]))
@@ -128,6 +134,19 @@ class TestZTest:
             z_test(0.1, 0.0, 100)
         with pytest.raises(ValueError):
             z_test(0.1, -1.0, 100)
+
+    @pytest.mark.parametrize("cov_jj,n,message", [
+        # a NaN variance returned (nan, nan); an infinite one and n = 0
+        # returned (0.0, 1.0), which never rejects
+        (math.nan, 100, "variance must be positive and finite, got nan"),
+        (math.inf, 100, "variance must be positive and finite, got inf"),
+        (1.0, 0, "n must be >= 1, got 0"),
+        (1.0, -5, "n must be >= 1, got -5"),
+    ])
+    def test_rejects_non_finite_variance_and_empty_sample(self, cov_jj, n,
+                                                           message):
+        with pytest.raises(ValueError, match=message):
+            z_test(0.1, cov_jj, n)
 
 
 class TestOracleIntervalCoverage:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from sgdinf.models import (
     derivatives,
     make_covariance,
     oracle_covariance,
+    population_hessian,
     sample_covariates,
     sample_dataset,
 )
@@ -209,11 +211,18 @@ class TestOracle:
         # the same type the plug-in and batch-means sinks return
         assert isinstance(oracle_covariance(linear_model(d=2)), CovarianceEstimate)
 
-    def test_singular_monte_carlo_hessian_raises(self, monkeypatch):
+    def test_singular_hessian_raises(self, monkeypatch):
         monkeypatch.setattr(models, "population_hessian",
                             lambda *a, **k: np.diag([1.0, 0.0]))
         with pytest.raises(OracleError, match="numerically singular"):
             oracle_covariance(logistic_model(d=2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_logistic_truth_raises(self):
+        # x*ᵀΣx* overflows to inf: every ℓ″(aᵀx*) is 0, so A is the zero
+        # matrix; numpy warns of the overflow on the way
+        with pytest.raises(OracleError, match="numerically singular"):
+            oracle_covariance(logistic_model(d=2, x_star=(1e160, 0.0)))
 
     def test_negative_diagonal_raises(self, monkeypatch):
         monkeypatch.setattr(models, "population_hessian",
@@ -240,9 +249,46 @@ class TestOracle:
     def test_logistic_zero_truth_closed_form(self):
         # at x*=0 the Hessian weight is exactly 1/4, so A = Sigma/4
         model = logistic_model(d=3, x_star=np.zeros(3))
-        got = oracle_covariance(model, mc_samples=400_000,
-                                rng=np.random.default_rng(7))
-        np.testing.assert_allclose(got.matrix, 4.0 * np.eye(3), atol=0.06)
+        np.testing.assert_array_equal(oracle_covariance(model).matrix,
+                                      4.0 * np.eye(3))
+
+    def test_logistic_zero_truth_hessian_is_quarter_sigma(self):
+        model = logistic_model(d=5, design=DesignKind.TOEPLITZ, rho=0.5,
+                               x_star=np.zeros(5))
+        want = make_covariance(model.design) / 4.0
+        assert population_hessian(model).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 10.0, 1e3, 1e6])
+    def test_logistic_moments_match_adaptive_quadrature(self, s):
+        # c_p = E[l''(sZ) Z^p] with l''(t) = 1/(4 cosh^2(t/2)); the breaks
+        # at multiples of 1/s let quad resolve the peak of width 1/s
+        def c(p):
+            return mpmath.quad(
+                lambda z: z ** p * mpmath.exp(-z * z / 2)
+                / (4 * mpmath.cosh(s * z / 2) ** 2 * mpmath.sqrt(2 * mpmath.pi)),
+                [-mpmath.inf, -10 / s, -1 / s, 0, 1 / s, 10 / s, mpmath.inf])
+        with mpmath.workdps(30):
+            want = (float(c(0)), float(c(2)))
+        got = models._logistic_moments(s)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_logistic_hessian_matches_monte_carlo_mean(self):
+        # E[l''(a'x*) aa'] from 4e6 draws, with a sigmoid independent of
+        # models.derivatives; every entry within 4 standard errors
+        model = logistic_model(d=5, design=DesignKind.TOEPLITZ, rho=0.5,
+                               x_star=3.0 * np.linspace(0.0, 1.0, 5))
+        rng = np.random.default_rng(20161027)
+        draws, chunk = 4_000_000, 250_000
+        total, total_sq = np.zeros((5, 5)), np.zeros((5, 5))
+        for _ in range(draws // chunk):
+            a = sample_covariates(model.design, chunk, rng)
+            p = sigmoid(a @ model.xs)
+            terms = (p * (1.0 - p))[:, None, None] * a[:, :, None] * a[:, None, :]
+            total += terms.sum(axis=0)
+            total_sq += (terms * terms).sum(axis=0)
+        mean = total / draws
+        se = np.sqrt((total_sq / draws - mean ** 2) / draws)
+        assert np.max(np.abs(population_hessian(model) - mean) / se) < 4.0
 
     def test_noiseless_linear_oracle_is_zero(self):
         # sigma = 0 is a valid linear model; its sigma^2 Sigma^-1 vanishes
