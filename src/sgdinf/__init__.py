@@ -37,7 +37,6 @@ from .sgd import (
     EstimatorSink,
     SgdState,
     StepSchedule,
-    TraceSink,
     run,
 )
 
@@ -47,7 +46,7 @@ __all__ = [
     "z_test", "DesignKind", "DesignSpec", "ModelKind", "ModelSpec",
     "derivatives", "make_covariance", "oracle_covariance",
     "PluginAccumulator", "DivergenceError", "EstimatorSink", "SgdState",
-    "StepSchedule", "TraceSink", "run",
+    "StepSchedule", "run",
     "PrecisionEstimate", "RadarConfig", "build_omega", "debias",
     "fit_debiased_lasso", "highdim_ci", "nodewise_fit_all",
     "radar_lasso", "radar_solve", "tau_hat",

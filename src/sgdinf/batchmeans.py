@@ -1,8 +1,13 @@
 """Batch-means covariance estimator with increasing batch sizes.
 
-The iterate sequence is partitioned into M+1 batches whose boundaries grow
-like e_k = ((k+1)N)^(1/(1-α)); batch 0 is burn-in and is discarded. The
-estimator is the weighted between-batch covariance of the batch means,
+The iterate sequence is partitioned into M+1 batches by boundaries
+e_0 < e_1 < ... < e_M = n that grow like e_k = ((k+1)N)^(1/(1-α)); batch 0
+(iterations 1..e_0) is burn-in and is discarded. The whole state is the
+batch sums S_k of the iterates in batch k. With n_k = e_k − e_{k−1},
+X̄_k = S_k/n_k and X̄_M = (S_1 + ... + S_M)/(n − e_0), the estimate is
+
+    Σ̂ = (1/M)·Σ_{k=1..M} n_k (X̄_k − X̄_M)(X̄_k − X̄_M)ᵀ,
+
 which needs no Hessians and only O(d·M) state.
 """
 
@@ -37,6 +42,16 @@ class BatchSchedule:
 
     boundaries: tuple
 
+    def __post_init__(self):
+        bounds = self.boundaries
+        if (len(bounds) < 2
+                or not all(isinstance(e, (int, np.integer))
+                           and not isinstance(e, bool) for e in bounds)
+                or bounds[0] < 1
+                or any(lo >= hi for lo, hi in zip(bounds, bounds[1:]))):
+            raise ScheduleError("boundaries must be integers 1 <= e_0 < e_1 "
+                                f"< ... < e_M with M >= 1, got {bounds!r}")
+
     @property
     def m(self) -> int:
         return len(self.boundaries) - 1
@@ -50,7 +65,7 @@ class BatchSchedule:
         return self.boundaries[0]
 
     def to_json(self) -> str:
-        return json.dumps(list(self.boundaries))
+        return json.dumps([int(e) for e in self.boundaries])
 
 
 def make_schedule(n: int, m: int, alpha: float) -> BatchSchedule:
@@ -87,62 +102,39 @@ def batch_count(n: int, c: float = 0.25) -> int:
 
 
 class BatchMeansAccumulator(EstimatorSink):
-    """Streams iterates into per-batch means and finalizes the weighted
-    between-batch covariance. Peak state is O(d·M), independent of n."""
+    """Streams iterates into the M+1 batch sums S_k and finalizes the
+    weighted between-batch covariance. State is O(d·M), independent of n."""
 
     def __init__(self, schedule: BatchSchedule, d: int):
         self.schedule = schedule
-        self.d = d
-        self._batch = 0                    # index of the open batch
+        self.sums = np.zeros((schedule.m + 1, d))   # S_0 .. S_M
         self._seen = 0
-        self._cur_sum = np.zeros(d)
-        self._cur_count = 0
-        self.batch_counts: list[int] = []  # n_k for closed batches, incl. batch 0
-        self.batch_means: list[np.ndarray] = []
-        self._post_burn_sum = np.zeros(d)
 
     def observe(self, start, xs, a=None, r=None, w=None):
+        d = self.sums.shape[1]
+        if np.shape(xs)[1:] != (d,) or len(xs) < 1:
+            raise ValueError(f"block of shape {np.shape(xs)} is not (k, {d}) "
+                             "with k >= 1")
         if start != self._seen + 1:
             raise ProtocolError(f"expected iteration {self._seen + 1}, got {start}")
         stop = start + len(xs) - 1
         if stop > self.schedule.n:
             raise ProtocolError(f"observe past the final boundary e_M={self.schedule.n}")
-        # Block offsets at which a segment starts: 0, then one past every
-        # boundary e_k that falls inside the block (except the block's end).
-        bounds = self.schedule.boundaries
-        closing = [e - start + 1 for e in bounds[self._batch:] if e <= stop]
-        offsets = [0] + [c for c in closing if c < len(xs)]
-        sums = np.add.reduceat(xs, offsets, axis=0)
-        ends = offsets[1:] + [len(xs)]
-        for j, seg_sum in enumerate(sums):
-            self._cur_sum += seg_sum
-            self._cur_count += ends[j] - offsets[j]
-            if self._batch > 0:
-                self._post_burn_sum += seg_sum
-            if j < len(closing):
-                self.batch_counts.append(self._cur_count)
-                self.batch_means.append(self._cur_sum / self._cur_count)
-                self._cur_sum = np.zeros(self.d)
-                self._cur_count = 0
-                self._batch += 1
+        # iteration i lies in batch k when e_{k-1} < i <= e_k; the block
+        # meets batches first..last and is cut one past each e_k inside it
+        bounds = np.asarray(self.schedule.boundaries)
+        first, last = np.searchsorted(bounds, (start, stop))
+        cuts = np.concatenate(([0], bounds[first:last] - (start - 1)))
+        self.sums[first:last + 1] += np.add.reduceat(xs, cuts, axis=0)
         self._seen = stop
 
     def finalize(self) -> CovarianceEstimate:
-        if self._seen != self.schedule.n:
+        n, burn_in = self.schedule.n, self.schedule.burn_in
+        if self._seen != n:
             raise ProtocolError(
-                f"stream ended at {self._seen}, schedule expects {self.schedule.n}")
-        m = self.schedule.m
-        counts = np.asarray(self.batch_counts[1:], dtype=float)
-        dev = np.asarray(self.batch_means[1:]) - self.overall_mean
-        est = (dev.T * counts) @ dev / m
+                f"stream ended at {self._seen}, schedule expects {n}")
+        counts = np.diff(self.schedule.boundaries).astype(float)   # n_1 .. n_M
+        used = self.sums[1:]
+        dev = used / counts[:, None] - used.sum(axis=0) / (n - burn_in)
+        est = (dev.T * counts) @ dev / self.schedule.m
         return CovarianceEstimate(0.5 * (est + est.T))
-
-    @property
-    def overall_mean(self) -> np.ndarray:
-        """X̄_M: mean of all post-burn-in iterates seen so far."""
-        total = self._seen - self.schedule.burn_in
-        if total <= 0:
-            raise ProtocolError(
-                f"overall mean is undefined before burn-in ends: seen "
-                f"{self._seen} of e_0={self.schedule.burn_in} iterations")
-        return self._post_burn_sum / total

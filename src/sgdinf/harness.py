@@ -244,6 +244,12 @@ def _parse_estimators(cfg: dict) -> tuple:
         choices.append(EstimatorChoice("bm", _under("batch_means", _real, c)))
     if flags["oracle"]:
         choices.append(EstimatorChoice("oracle"))
+    seen = {}
+    for choice in choices:      # one sink and one row per label
+        if choice.label in seen:
+            raise ValueError(f"batch_means: exponents {seen[choice.label].c!r} "
+                             f"and {choice.c!r} both give the label {choice.label}")
+        seen[choice.label] = choice
     return tuple(choices)
 
 
@@ -301,11 +307,17 @@ def load_config(path) -> dict:
         if not isinstance(entries, list):
             raise ConfigError(f"{path}: {section}: expected a list of "
                               f"entries, got {type(entries).__name__}")
+        ids = {}     # rows and failures are keyed by the id
         for i, scn in enumerate(entries):
             try:
                 out[section].append(_build(cls, scn, fields, where))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: {section}[{i}]: {exc}")
+            scn_id = out[section][-1].scenario_id
+            if scn_id in ids:
+                raise ConfigError(f"{path}: {section}[{i}]: id: {scn_id!r} is "
+                                  f"also the id of {section}[{ids[scn_id]}]")
+            ids[scn_id] = i
     return out
 
 

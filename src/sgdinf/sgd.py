@@ -116,29 +116,6 @@ class EstimatorSink:
         raise NotImplementedError
 
 
-class TraceSink(EstimatorSink):
-    """Diagnostics sink recording every k-th iterate for offline inspection."""
-
-    def __init__(self, every: int = 1):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.every = every
-        self.indices: list[int] = []
-        self._rows: list[np.ndarray] = []
-
-    def observe(self, start, xs, a=None, r=None, w=None):
-        first = -start % self.every
-        self.indices.extend(range(start + first, start + len(xs), self.every))
-        self._rows.extend(xs[first::self.every].copy())
-
-    @property
-    def trace(self) -> np.ndarray:
-        return np.array(self._rows)
-
-    def finalize(self):
-        return None
-
-
 # Rows per sub-block, and the most rows per piece: the solver takes a piece
 # in one batch and the sinks get it as one block. A solve takes one CPython
 # step per sub-block row, then log₂(sub-blocks) scan steps. At d = 5 and

@@ -1,11 +1,12 @@
 """Shared test helpers: an independent reference SGD used to cross-check
-the streaming implementation, small fixtures, and the end-of-run report
-of the acceptance verdicts."""
+the streaming implementation, a sink that records every block, small
+fixtures, and the end-of-run report of the acceptance verdicts."""
 
 import numpy as np
 import pytest
 
 from sgdinf import models
+from sgdinf.sgd import EstimatorSink
 
 
 def sigmoid(t):
@@ -18,6 +19,28 @@ def sigmoid(t):
     et = np.exp(t[~pos])
     out[~pos] = et / (1.0 + et)
     return float(out) if out.ndim == 0 else out
+
+
+class RecordingSink(EstimatorSink):
+    """Keeps a copy of every block the engine hands over."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def observe(self, start, xs, a, r, w):
+        self.blocks.append((start, xs.copy(), a.copy(), r.copy(), w.copy()))
+
+    @property
+    def calls(self):
+        """Iteration numbers covered by the blocks, in the order received."""
+        return [start + j for start, xs, *_ in self.blocks
+                for j in range(len(xs))]
+
+    def stacked(self, field):
+        return np.concatenate([blk[field] for blk in self.blocks])
+
+    def finalize(self):
+        return None
 
 
 def reference_sgd_trace(model, a_all, b_all, eta, alpha, x0=None):

@@ -24,9 +24,9 @@ from sgdinf.models import (
     oracle_covariance,
 )
 from sgdinf.plugin import PluginAccumulator
-from sgdinf.sgd import EstimatorSink, StepSchedule, TraceSink, run
+from sgdinf.sgd import EstimatorSink, StepSchedule, run
 
-from conftest import batch_means_floor, record_verdict
+from conftest import RecordingSink, batch_means_floor, record_verdict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -265,13 +265,13 @@ def test_c09_streaming_equals_trace_replay():
     plug = PluginAccumulator(d)
     sched = make_schedule(n, batch_count(n, 0.25), 0.5)
     bm = BatchMeansAccumulator(sched, d)
-    trace = TraceSink(every=1)
+    trace = RecordingSink()
     _, (est_p, est_b, _) = run(model, n, StepSchedule(0.5, 0.5),
                                sinks=[plug, bm, trace], data=data)
 
     # dense recomputation from the stored trace and raw data
     a_all, b_all = data
-    xs = np.vstack([np.zeros(d), trace.trace])     # x_0 .. x_n
+    xs = np.vstack([np.zeros(d), trace.stacked(1)])     # x_0 .. x_n
     grads = [(a_all[i] @ xs[i] - b_all[i]) * a_all[i] for i in range(n)]
     hessians = [np.outer(a_all[i], a_all[i]) for i in range(n)]
     a_n = np.mean(hessians, axis=0)

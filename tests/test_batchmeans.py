@@ -67,6 +67,20 @@ class TestMakeSchedule:
         s = make_schedule(100, 1, 0.5)
         assert json.loads(s.to_json()) == [25, 100]
 
+    @pytest.mark.parametrize("bounds", [
+        (5, 3, 8), (3, 3, 8), (0, 4), (-2, 4), (4,), (), (2.0, 4), (1.5, 4),
+        (True, 4), (2, np.float64(4))])
+    def test_malformed_boundaries_rejected(self, bounds):
+        # (5, 3, 8) gave batch sizes 5, -2, 5 and a negative variance;
+        # (3, 3, 8) an empty batch and NaN
+        with pytest.raises(ScheduleError, match="1 <= e_0 < e_1"):
+            BatchSchedule(bounds)
+
+    def test_numpy_integer_boundaries(self):
+        s = BatchSchedule(tuple(np.array([2, 5, 9])))
+        assert (s.m, s.n, s.burn_in) == (2, 9, 2)
+        assert json.loads(s.to_json()) == [2, 5, 9]
+
     def test_batch_count_rule(self):
         assert batch_count(100_000, 0.25) == 18
         assert batch_count(100_000, 0.2) == 10
@@ -86,9 +100,8 @@ class TestAccumulator:
         sched = BatchSchedule(boundaries=(1, 4))
         acc = BatchMeansAccumulator(sched, 1)
         feed(acc, [1.0, 5.0, 5.0, 5.0])
-        assert acc.batch_counts == [1, 3]
-        assert acc.batch_means[0][0] == 1.0
-        assert acc.batch_means[1][0] == 5.0
+        # batches of 1 and 3 rows, with means 1 and 5
+        assert acc.sums[:, 0].tolist() == [1.0, 15.0]
         est = acc.finalize()
         np.testing.assert_allclose(est.matrix, [[0.0]])
 
@@ -121,7 +134,8 @@ class TestAccumulator:
             seg = xs[bounds[k]:bounds[k + 1]]
             means.append(seg.mean(axis=0))
             counts.append(len(seg))
-        np.testing.assert_allclose(np.array(acc.batch_means), means, atol=1e-12)
+        np.testing.assert_allclose(acc.sums / np.array(counts)[:, None], means,
+                                   atol=1e-12)
         overall = xs[sched.burn_in:].mean(axis=0)
         dev = np.array(means[1:]) - overall
         expected = (dev.T * counts[1:]) @ dev / sched.m
@@ -133,13 +147,14 @@ class TestAccumulator:
         acc = BatchMeansAccumulator(sched, 2)
         xs = rng.standard_normal((n, 2))
         feed(acc, xs, block=1)
-        counts = np.asarray(acc.batch_counts[1:], dtype=float)
-        means = np.asarray(acc.batch_means[1:])
+        counts = np.diff(sched.boundaries).astype(float)
+        means = acc.sums[1:] / counts[:, None]
         lhs = (counts[:, None] * means).sum(axis=0)
         rhs = xs[sched.burn_in:].sum(axis=0)
         assert np.abs(lhs - rhs).max() < 1e-10 * n
         # which implies the weighted deviations from the overall mean cancel
-        dev = ((means - acc.overall_mean) * counts[:, None]).sum(axis=0)
+        overall = acc.sums[1:].sum(axis=0) / (n - sched.burn_in)
+        dev = ((means - overall) * counts[:, None]).sum(axis=0)
         assert np.abs(dev).max() < 1e-10 * n
 
     def test_output_psd(self, rng):
@@ -168,21 +183,26 @@ class TestAccumulator:
         with pytest.raises(ProtocolError):
             acc3.observe(101, np.zeros((1, 1)))  # past e_M
         acc4 = BatchMeansAccumulator(sched, 1)
-        feed(acc4, np.zeros(98))
+        feed(acc4, np.ones(98))
         with pytest.raises(ProtocolError):
-            acc4.observe(99, np.zeros((3, 1)))   # block runs past e_M
-        assert acc4.batch_counts == [11, 33]     # the bad block left no trace
+            acc4.observe(99, np.ones((3, 1)))    # block runs past e_M
+        # the bad block left no trace: batches of 11, 33 and 56 rows
+        assert acc4.sums[:, 0].tolist() == [11.0, 33.0, 54.0]
+        acc4.observe(99, np.ones((2, 1)))
+        assert acc4.sums[:, 0].tolist() == [11.0, 33.0, 56.0]
 
-    def test_overall_mean_needs_burn_in_to_end(self):
-        sched = BatchSchedule(boundaries=(2, 4))
-        acc = BatchMeansAccumulator(sched, 1)
-        with pytest.raises(ProtocolError, match="burn-in"):
-            acc.overall_mean
-        feed(acc, [1.0, 1.0])
-        with pytest.raises(ProtocolError, match="burn-in"):
-            acc.overall_mean                   # seen == e_0: nothing after it
-        feed(acc, [4.0], start=3)
-        assert acc.overall_mean[0] == 4.0
+    @pytest.mark.parametrize("shape", [(100, 1), (0, 5), (5,), (2, 5, 1)])
+    def test_block_shape_checked(self, shape):
+        # a (100, 1) block broadcast into every coordinate, and an empty
+        # one reached np.add.reduceat
+        acc = BatchMeansAccumulator(make_schedule(100, 3, 0.5), 5)
+        with pytest.raises(ValueError, match=r"\(k, 5\)") as err:
+            acc.observe(1, np.ones(shape))
+        assert str(shape) in str(err.value)
+        assert not acc.sums.any()                # and left no trace
+        feed(acc, np.ones((100, 5)), block=40)
+        np.testing.assert_allclose(acc.finalize().matrix, np.zeros((5, 5)),
+                                   atol=1e-12)
 
     def test_memory_is_batch_bounded(self):
         # state must stay O(d*M), never O(n*d)

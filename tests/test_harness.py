@@ -278,6 +278,21 @@ class TestConfig:
         ("scenarios[0]: batch_means: exponent 0 gives M = 1 batch at "
          "n = 2000, need M >= 2",
          (("batch_means: [0.25]", "batch_means: [0.0]"),), ["simulate"]),
+        # both wrote a bm-0.25 row from the second sink only
+        ("bad.yaml: scenarios[0]: estimators: batch_means: exponents 0.25 "
+         "and 0.2500000001 both give the label bm-0.25",
+         (("batch_means: [0.25]", "batch_means: [0.25, 0.2500000001]"),),
+         ["simulate"]),
+        # both wrote rows under one id, and their failures would merge
+        ("bad.yaml: scenarios[1]: id: 'smoke' is also the id of scenarios[0]",
+         (("\nhighdim:", SMALL_YAML[SMALL_YAML.index("\n  - id: smoke"):
+                                     SMALL_YAML.index("\nhighdim:")]
+           .replace("seed: 11", "seed: 12") + "\nhighdim:"),),
+         ["simulate"]),
+        ("bad.yaml: highdim[1]: id: 'hd-smoke' is also the id of highdim[0]",
+         (("    coef_max: 10.0\n", "    coef_max: 10.0\n"
+           + SMALL_YAML[SMALL_YAML.index("  - id: hd-smoke"):]),),
+         ["highdim-simulate"]),
         ("highdim[0]: coef_max must be >= 0, got -5",
          (("coef_max: 10.0", "coef_max: -5.0"),), ["highdim-simulate"]),
         ("bad.yaml: workers: must be >= 1, got -3",

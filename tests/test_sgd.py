@@ -10,14 +10,12 @@ from sgdinf.batchmeans import BatchMeansAccumulator, make_schedule
 from sgdinf.plugin import PluginAccumulator
 from sgdinf.sgd import (
     DivergenceError,
-    EstimatorSink,
     SinkFinalizeError,
     StepSchedule,
-    TraceSink,
     run,
 )
 
-from conftest import reference_sgd_trace
+from conftest import RecordingSink, reference_sgd_trace
 
 
 def linear_model(d=5, sigma=1.0):
@@ -30,28 +28,6 @@ def logistic_model(design="toeplitz", d=3):
     return models.ModelSpec(models.ModelKind.LOGISTIC,
                             models.DesignSpec(design, d, 0.5),
                             (0.5, -0.2, 1.0, 0.3, -0.7)[:d])
-
-
-class RecordingSink(EstimatorSink):
-    """Keeps a copy of every block the engine hands over."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def observe(self, start, xs, a, r, w):
-        self.blocks.append((start, xs.copy(), a.copy(), r.copy(), w.copy()))
-
-    @property
-    def calls(self):
-        """Iteration numbers covered by the blocks, in the order received."""
-        return [start + j for start, xs, *_ in self.blocks
-                for j in range(len(xs))]
-
-    def stacked(self, field):
-        return np.concatenate([blk[field] for blk in self.blocks])
-
-    def finalize(self):
-        return None
 
 
 # Piece sizes of the engine, which are also the sinks' block sizes.
@@ -184,28 +160,28 @@ class TestRun:
         assert np.array_equal(s1.x, s2.x)
 
     def test_running_average_matches_trace_mean(self, rng):
-        trace = TraceSink(every=1)
+        trace = RecordingSink()
         model = linear_model()
         state, _ = run(model, 1000, StepSchedule(0.5, 0.5), sinks=[trace], rng=rng)
-        assert np.abs(state.x_bar - trace.trace.mean(axis=0)).max() < 1e-10
+        assert np.abs(state.x_bar - trace.stacked(1).mean(axis=0)).max() < 1e-10
 
     def test_matches_reference_implementation(self, rng):
         model = linear_model(d=4)
         a, b = models.sample_dataset(model, 500, rng)
-        trace = TraceSink(every=1)
+        trace = RecordingSink()
         state, _ = run(model, 500, StepSchedule(0.8, 0.6), sinks=[trace],
                        data=(a, b))
         ref = reference_sgd_trace(model, a, b, eta=0.8, alpha=0.6)
-        np.testing.assert_allclose(trace.trace, ref, atol=1e-12)
+        np.testing.assert_allclose(trace.stacked(1), ref, atol=1e-12)
         np.testing.assert_allclose(state.x_bar, ref.mean(axis=0), atol=1e-12)
 
     def test_logistic_matches_reference_implementation(self, rng):
         model = logistic_model()
         a, b = models.sample_dataset(model, 400, rng)
-        trace = TraceSink(every=1)
+        trace = RecordingSink()
         run(model, 400, StepSchedule(1.0, 0.5), sinks=[trace], data=(a, b))
         ref = reference_sgd_trace(model, a, b, eta=1.0, alpha=0.5)
-        np.testing.assert_allclose(trace.trace, ref, atol=1e-12)
+        np.testing.assert_allclose(trace.stacked(1), ref, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     @pytest.mark.parametrize("design", ["identity", "toeplitz"])
@@ -223,12 +199,12 @@ class TestRun:
         a, b = models.sample_dataset(model, n, rng)
         ref = reference_sgd_trace(model, a, b, eta=0.9, alpha=0.55)
         for _ in each_engine(monkeypatch):
-            trace = TraceSink(every=1)
+            trace = RecordingSink()
             bm = BatchMeansAccumulator(make_schedule(n, 9, 0.5), 5)
             state, _ = run(model, n, StepSchedule(0.9, 0.55),
                            sinks=[trace, bm], data=(a, b))
-            assert trace.indices == list(range(1, n + 1))
-            assert np.abs(trace.trace - ref).max() <= 1e-12
+            assert trace.calls == list(range(1, n + 1))
+            assert np.abs(trace.stacked(1) - ref).max() <= 1e-12
             assert np.abs(state.x - ref[-1]).max() <= 1e-12
             assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= 1e-12
 
@@ -250,10 +226,10 @@ class TestRun:
             for piece in (50, sgd._PIECE):
                 monkeypatch.setattr(sgd, "_SUB_BLOCK", block)
                 monkeypatch.setattr(sgd, "_PIECE", piece)
-                trace = TraceSink(every=1)
+                trace = RecordingSink()
                 state, _ = run(model, n, StepSchedule(eta, 0.5), x0=x0,
                                sinks=[trace], data=(a, b))
-                assert np.abs(trace.trace - ref).max() <= tol
+                assert np.abs(trace.stacked(1) - ref).max() <= tol
                 assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
 
     @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0, 20.0])
@@ -283,10 +259,10 @@ class TestRun:
                     return out
 
                 monkeypatch.setattr(sgd, "_newton_piece", recording)
-                trace = TraceSink(every=1)
+                trace = RecordingSink()
                 state, _ = run(model, n, StepSchedule(eta, 0.5), x0=x0,
                                sinks=[trace], data=(a, b))
-                assert np.abs(trace.trace - ref).max() <= tol
+                assert np.abs(trace.stacked(1) - ref).max() <= tol
                 assert np.abs(state.x_bar - ref.mean(axis=0)).max() <= tol
                 if eta == 20.0 and (block, piece) == defaults:
                     # the first pieces stall: each unsettled piece halves
@@ -317,9 +293,9 @@ class TestRun:
         with np.errstate(over="ignore"):
             ref = reference_sgd_trace(model, a, b, eta=eta, alpha=0.5)
         assert np.isfinite(ref).all()
-        trace = TraceSink(every=1)
+        trace = RecordingSink()
         run(model, n, StepSchedule(eta, 0.5), sinks=[trace], data=(a, b))
-        assert np.isfinite(trace.trace).all()
+        assert np.isfinite(trace.stacked(1)).all()
 
     @pytest.mark.parametrize("x0", [[2.0], np.zeros(6), np.zeros((5, 1))])
     def test_x0_shape_checked(self, x0, rng):
@@ -517,9 +493,9 @@ class TestRun:
             ref = reference_sgd_trace(model, a, b, eta=0.5, alpha=0.5)
         assert np.isfinite(ref).all()
         for _ in each_engine(monkeypatch):
-            trace = TraceSink(every=1)
+            trace = RecordingSink()
             run(model, 300, StepSchedule(0.5, 0.5), sinks=[trace], data=(a, b))
-            assert np.abs(trace.trace - ref).max() <= 1e-12
+            assert np.abs(trace.stacked(1) - ref).max() <= 1e-12
 
     def test_finalize_errors_collected(self, rng):
         class Broken(RecordingSink):
@@ -545,11 +521,3 @@ class TestRun:
     def test_requires_rng_or_data(self):
         with pytest.raises(ValueError):
             run(linear_model(), 10, StepSchedule(0.5, 0.5))
-
-    def test_trace_keeps_every_kth_iterate(self, rng):
-        trace = TraceSink(every=10)
-        state, _ = run(linear_model(d=2), 100, StepSchedule(0.5, 0.5),
-                       sinks=[trace], rng=rng)
-        assert trace.indices == list(range(10, 101, 10))
-        assert trace.trace.shape == (10, 2)
-        np.testing.assert_array_equal(trace.trace[-1], state.x)
