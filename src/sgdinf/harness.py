@@ -50,13 +50,13 @@ class ScenarioFailedError(RuntimeError):
 
 
 def _check_shared(scn) -> None:
-    """Reject a level q outside (0, 1), or fewer than one sample or one
-    replication."""
+    """Reject a level q outside (0, 1), fewer than one sample or one
+    replication, or a negative seed, which numpy's SeedSequence refuses."""
     if not 0.0 < scn.q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {scn.q}")
-    for key in ("n", "n_sim"):
-        if getattr(scn, key) < 1:
-            raise ValueError(f"{key} must be >= 1, got {getattr(scn, key)}")
+    for key, least in (("n", 1), ("n_sim", 1), ("seed", 0)):
+        if getattr(scn, key) < least:
+            raise ValueError(f"{key} must be >= {least}, got {getattr(scn, key)}")
 
 
 @dataclass(frozen=True)
@@ -172,21 +172,14 @@ class AggregateRow:
 CSV_HEADER = "scenario,estimator,cov_rate_pct,avg_len,oracle_len,n_sim"
 
 
-# Every key a config may set, by where it appears.
-_TOP_KEYS = {"workers", "scenarios", "highdim"}
-_MODEL_KEYS = {"kind", "design", "d", "rho", "x_star", "sigma"}
-_ESTIMATOR_KEYS = {"plugin", "batch_means", "oracle"}
-
-
-def _check_keys(cfg, allowed: set, where: str) -> dict:
-    """The mapping `cfg`, after checking that it sets only `allowed` keys."""
+def _check_keys(cfg, allowed: set, where: str) -> None:
+    """Check that `cfg` is a mapping that sets only `allowed` keys."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a mapping")
     unknown = sorted(str(k) for k in cfg if k not in allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(unknown)} in {where} "
                           f"(allowed: {', '.join(sorted(allowed))})")
-    return cfg
 
 
 def _integer(value) -> int:
@@ -206,23 +199,21 @@ def _real(value) -> float:
     return float(value)
 
 
-def _under(key: str, convert, value):
-    """convert(value), with a value it rejects reported under `key`."""
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def _reals(value) -> tuple:
+    """A list of finite numbers."""
+    return tuple(_real(v) for v in value)
 
 
-def _parse_model(cfg: dict) -> models.ModelSpec:
-    _check_keys(cfg, _MODEL_KEYS, "model")
-    _under("d", _integer, cfg.get("d", 0))
-    for key in ("rho", "sigma"):
-        if cfg.get(key) is not None:
-            _under(key, _real, cfg[key])
-    for value in cfg.get("x_star") or ():
-        _under("x_star", _real, value)
-    return models.ModelSpec.from_config(cfg)
+def _nullable(convert):
+    """`convert`, except that null reads as if the key were absent."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _entries(value) -> list:
+    """A list of config entries; an empty or null value reads as none."""
+    if value and not isinstance(value, list):
+        raise ValueError(f"expected a list of entries, got {type(value).__name__}")
+    return value or []
 
 
 def _flag(value) -> bool:
@@ -233,16 +224,48 @@ def _flag(value) -> bool:
     return value
 
 
-def _parse_estimators(cfg: dict) -> tuple:
-    _check_keys(cfg, _ESTIMATOR_KEYS, "estimators")
-    flags = {key: _under(key, _flag, cfg.get(key, False))
-             for key in ("plugin", "oracle")}
-    choices = []
-    if flags["plugin"]:
-        choices.append(EstimatorChoice("plugin"))
-    for c in cfg.get("batch_means", []) or []:
-        choices.append(EstimatorChoice("bm", _under("batch_means", _real, c)))
-    if flags["oracle"]:
+def _name(value) -> str:
+    """A scenario id: one non-empty line without a comma, a results.csv cell."""
+    text = str(value)
+    if value is None or "," in text or text.splitlines() != [text]:
+        raise ValueError("expected a non-empty name without a comma or line "
+                         f"break, got {value!r}")
+    return text
+
+
+def _convert(cfg, fields: dict, where: str) -> dict:
+    """The keys `cfg` sets, each through its converter in `fields`; a value
+    its converter rejects is reported under its key."""
+    _check_keys(cfg, fields.keys(), where)
+    out = {}
+    for key, value in cfg.items():
+        try:
+            out[key] = fields[key](value)
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return out
+
+
+def _parse_model(cfg) -> models.ModelSpec:
+    values = _convert(cfg, _MODEL_FIELDS, "model")
+    design = models.DesignSpec(values["design"], values["d"],
+                               values.get("rho", 0.0))
+    x_star = values.get("x_star")
+    if x_star is None:
+        x_star = models.default_x_star(design.d)
+    sigma = values.get("sigma")
+    if sigma is None and values["kind"] is models.ModelKind.LINEAR:
+        sigma = 1.0
+    return models.ModelSpec(values["kind"], design, x_star, sigma)
+
+
+def _parse_estimators(cfg) -> tuple:
+    values = _convert(cfg, _ESTIMATOR_FIELDS, "estimators")
+    choices = [EstimatorChoice("plugin")] if values.get("plugin") else []
+    choices += [EstimatorChoice("bm", c) for c in values.get("batch_means") or ()]
+    if values.get("oracle"):
         choices.append(EstimatorChoice("oracle"))
     seen = {}
     for choice in choices:      # one sink and one row per label
@@ -253,31 +276,22 @@ def _parse_estimators(cfg: dict) -> tuple:
     return tuple(choices)
 
 
-# The converter of every key a scenario entry may set. A key left out takes
-# its dataclass default; "id" fills the scenario_id field.
+# The converter of every key a config mapping may set, by where it appears.
+# A key left out takes its default; "id" fills the scenario_id field.
+_TOP_FIELDS = {"workers": _integer, "scenarios": _entries, "highdim": _entries}
+_MODEL_FIELDS = {
+    "kind": models.ModelKind, "design": models.DesignKind, "d": _integer,
+    "rho": _real, "x_star": _nullable(_reals), "sigma": _nullable(_real)}
+_ESTIMATOR_FIELDS = {
+    "plugin": _flag, "batch_means": _nullable(_reals), "oracle": _flag}
 _SCENARIO_FIELDS = {
-    "id": str, "model": _parse_model, "n": _integer, "n_sim": _integer,
+    "id": _name, "model": _parse_model, "n": _integer, "n_sim": _integer,
     "seed": _integer, "alpha": _real, "eta": _real, "q": _real,
     "estimators": _parse_estimators, "fixed_design": _flag}
 _HIGHDIM_FIELDS = {
-    "id": str, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
+    "id": _name, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
     "n_sim": _integer, "coef_max": _real, "design": models.DesignKind,
     "rho": _real, "sigma": _real, "q": _real, "t_min": _integer}
-
-
-def _build(cls, cfg, fields: dict, where: str):
-    """A `cls` from the keys `cfg` sets, each through its converter; a value
-    its converter rejects is reported under its key."""
-    _check_keys(cfg, fields.keys(), where)
-    kwargs = {}
-    for key, value in cfg.items():
-        try:
-            kwargs["scenario_id" if key == "id" else key] = fields[key](value)
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    return cls(**kwargs)
 
 
 def load_config(path) -> dict:
@@ -290,27 +304,23 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must contain a mapping")
-    _check_keys(raw, _TOP_KEYS, f"config file {path}")
     try:
-        workers = _integer(raw.get("workers", 1))
+        top = _convert(raw, _TOP_FIELDS, "config file")
+        workers = top.get("workers", 1)
         if workers < 1:
-            raise ValueError(f"must be >= 1, got {workers}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: workers: {exc}") from None
+            raise ValueError(f"workers: must be >= 1, got {workers}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     out = {"scenarios": [], "highdim": [], "workers": workers}
     for section, cls, fields, where in (
             ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
             ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):
-        entries = raw.get(section) or []
-        if not isinstance(entries, list):
-            raise ConfigError(f"{path}: {section}: expected a list of "
-                              f"entries, got {type(entries).__name__}")
         ids = {}     # rows and failures are keyed by the id
-        for i, scn in enumerate(entries):
+        for i, scn in enumerate(top.get(section, [])):
             try:
-                out[section].append(_build(cls, scn, fields, where))
+                values = _convert(scn, fields, where)
+                out[section].append(cls(**{"scenario_id" if k == "id" else k: v
+                                           for k, v in values.items()}))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: {section}[{i}]: {exc}")
             scn_id = out[section][-1].scenario_id

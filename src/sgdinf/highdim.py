@@ -168,6 +168,9 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     if config.total_n > n:
         raise RadarConfigError("sample stream shorter than the iteration budget")
     k = targets.shape[1]
+    for name, rows in (("r1_rows", r1_rows), ("s_rows", s_rows), ("fixed", fixed)):
+        if rows is not None and np.shape(rows) != (k,):
+            raise ValueError(f"{name} has shape {np.shape(rows)}, targets need ({k},)")
     radii = np.full(k, config.r1) if r1_rows is None else np.asarray(r1_rows, float)
     s_rows = np.full(k, config.s_bound) if s_rows is None else s_rows
     s_rows = np.maximum(np.asarray(s_rows, dtype=float), 1.0)

@@ -80,7 +80,8 @@ def confidence_interval(x_bar, cov, n: int, q: float, truth=None) -> CiReport:
     x_bar = np.asarray(x_bar, dtype=float)
     matrix = np.asarray(getattr(cov, "matrix", cov), dtype=float)
     if matrix.shape != (x_bar.size, x_bar.size):
-        raise ValueError("covariance dimension does not match x_bar")
+        raise ValueError(f"covariance has shape {matrix.shape}, need "
+                         f"({x_bar.size}, {x_bar.size}) for x_bar")
     if n < 1:
         raise ValueError("n must be >= 1")
     diag = np.diag(matrix).copy()

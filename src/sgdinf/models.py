@@ -53,11 +53,6 @@ class DesignSpec:
             raise InvalidDesignError(
                 f"rho must lie in [0, 1) for {self.kind.value}, got {self.rho}")
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DesignSpec":
-        return cls(kind=DesignKind(cfg["design"]), d=int(cfg["d"]),
-                   rho=float(cfg.get("rho", 0.0)))
-
 
 def make_covariance(spec: DesignSpec) -> np.ndarray:
     """The exact design covariance matrix Σ for a spec."""
@@ -107,19 +102,6 @@ class ModelSpec:
     @property
     def xs(self) -> np.ndarray:
         return np.asarray(self.x_star)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ModelSpec":
-        design = DesignSpec.from_config(cfg)
-        x_star = cfg.get("x_star")
-        if x_star is None:
-            x_star = default_x_star(design.d)
-        sigma = cfg.get("sigma")
-        kind = ModelKind(cfg["kind"])
-        if kind is ModelKind.LINEAR and sigma is None:
-            sigma = 1.0
-        return cls(kind=kind, design=design, x_star=tuple(x_star),
-                   sigma=float(sigma) if sigma is not None else None)
 
 
 def sample_covariates(design: DesignSpec, n: int,

@@ -28,7 +28,8 @@ class PluginAccumulator(EstimatorSink):
     def observe(self, start, xs, a, r, w):
         m = len(a)
         if a.shape != (m, self.d) or np.shape(r) != (m,) or np.shape(w) != (m,):
-            raise ValueError("dimension mismatch in plug-in observe")
+            raise ValueError(f"block shapes a {np.shape(a)}, r {np.shape(r)}, w "
+                             f"{np.shape(w)}; need ({m}, {self.d}), ({m},), ({m},)")
         g = a * r[:, None]
         self.sum_g += g.T @ g
         self.sum_h += (a * w[:, None]).T @ a

@@ -275,7 +275,8 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
     if data is not None:
         a_all, b_all = (np.asarray(v, dtype=float) for v in data)
         if a_all.shape != (n, d) or b_all.shape != (n,):
-            raise ValueError("data arrays do not match (n, d)")
+            raise ValueError(f"data arrays have shapes {a_all.shape} and "
+                             f"{b_all.shape}, need ({n}, {d}) and ({n},)")
     else:
         if rng is None:
             raise ValueError("either rng or data must be provided")

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,8 @@ highdim:
 def small_scenario(**kw):
     base = dict(
         scenario_id="t",
-        model=models.ModelSpec.from_config(
-            {"kind": "linear", "design": "identity", "d": 3, "sigma": 1.0}),
+        model=models.ModelSpec("linear", models.DesignSpec("identity", 3),
+                               models.default_x_star(3), sigma=1.0),
         n=2000, n_sim=4, seed=11, alpha=0.5, eta=0.5,
         estimators=(EstimatorChoice("plugin"), EstimatorChoice("bm", 0.25),
                     EstimatorChoice("oracle")))
@@ -310,6 +311,27 @@ class TestConfig:
          ["simulate"]),
         ("--workers must be >= 1, got -3", (),
          ["simulate", "--workers", "-3"]),
+        # numpy's SeedSequence refuses a negative seed inside every run
+        ("bad.yaml: scenarios[0]: seed must be >= 0, got -1",
+         (("    seed: 11", "    seed: -1"),), ["simulate"]),
+        ("bad.yaml: highdim[0]: seed must be >= 0, got -1",
+         (("    seed: 5", "    seed: -1"),), ["highdim-simulate"]),
+        ("bad.yaml: with --seed -3: seed must be >= 0, got -3", (),
+         ["simulate", "--seed", "-3"]),
+        ("bad.yaml: with --seed -3: seed must be >= 0, got -3", (),
+         ["highdim-simulate", "--seed", "-3"]),
+        # an id is one cell of results.csv; null read as the id "None"
+        ("bad.yaml: scenarios[0]: id: expected a non-empty name without a "
+         "comma or line break, got 'smoke, identity'",
+         (("  - id: smoke", '  - id: "smoke, identity"'),), ["simulate"]),
+        ("scenarios[0]: id: expected a non-empty name without a comma or line "
+         "break, got 'smoke\\nidentity'",
+         (("  - id: smoke", '  - id: "smoke\\nidentity"'),), ["simulate"]),
+        ("scenarios[0]: id: expected a non-empty name without a comma or line "
+         "break, got ''", (("  - id: smoke", '  - id: ""'),), ["simulate"]),
+        ("highdim[0]: id: expected a non-empty name without a comma or line "
+         "break, got None", (("  - id: hd-smoke", "  - id: null"),),
+         ["highdim-simulate"]),
     ])
     def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
                                           edits, argv):
@@ -339,6 +361,50 @@ class TestConfig:
         assert ("seeded.yaml: with --seed 3: n, t_min: budget 10 cannot cover "
                 "one epoch of length 38") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,want", [
+        ("{kind: linear, design: toeplitz, d: 4, rho: 0.5, sigma: 1.0}",
+         models.ModelSpec("linear", models.DesignSpec("toeplitz", 4, 0.5),
+                          models.default_x_star(4), sigma=1.0)),
+        ("{kind: logistic, design: identity, d: 2, x_star: [0.5, -1.0]}",
+         models.ModelSpec("logistic", models.DesignSpec("identity", 2),
+                          (0.5, -1.0))),
+    ], ids=["linear-toeplitz", "logistic-identity"])
+    def test_model_literal_loads(self, tmp_path, model, want):
+        path = tmp_path / "cfg.yaml"
+        block = SMALL_YAML[SMALL_YAML.index("    model:"):
+                           SMALL_YAML.index("    estimators:")]
+        path.write_text(SMALL_YAML.replace(block, f"    model: {model}\n"))
+        assert load_config(path)["scenarios"][0].model == want
+
+    @pytest.mark.parametrize("line", ["      sigma: 1.0\n",
+                                      "      x_star: [0.0, 0.5, 1.0]\n",
+                                      "      batch_means: [0.25]\n"],
+                             ids=["sigma", "x_star", "batch_means"])
+    def test_null_reads_as_absent(self, tmp_path, line):
+        # only these three keys take null; every other null is an error
+        text = SMALL_YAML.replace("      d: 3\n",
+                                  "      d: 3\n      x_star: [0.0, 0.5, 1.0]\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text.replace(line, ""))
+        absent = load_config(path)["scenarios"][0]
+        path.write_text(text.replace(line, line.split(":")[0] + ": null\n"))
+        assert load_config(path)["scenarios"][0] == absent
+
+    @pytest.mark.parametrize("key,old,new", [
+        ("scenarios[0]: model: rho", "      d: 3", "      d: 3\n      rho: null"),
+        ("scenarios[0]: model: d", "      d: 3", "      d: null"),
+        ("scenarios[0]: eta", "    eta: 0.5", "    eta: null"),
+        ("scenarios[0]: estimators: plugin", "      plugin: true",
+         "      plugin: null"),
+        ("highdim[0]: sigma", "    coef_max: 10.0",
+         "    coef_max: 10.0\n    sigma: null"),
+    ], ids=["rho", "d", "eta", "plugin", "highdim-sigma"])
+    def test_other_nulls_rejected(self, tmp_path, key, old, new):
+        path = tmp_path / "nulls.yaml"
+        path.write_text(SMALL_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=re.escape(f"nulls.yaml: {key}: ")):
+            load_config(path)
 
     def test_integral_float_loads_as_integer(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -376,8 +442,8 @@ class TestConfig:
         assert lin.resolved_eta == 0.5
         log = small_scenario(
             eta=None,
-            model=models.ModelSpec.from_config(
-                {"kind": "logistic", "design": "identity", "d": 3}))
+            model=models.ModelSpec("logistic", models.DesignSpec("identity", 3),
+                                   models.default_x_star(3)))
         assert log.resolved_eta == 1.0
 
 
@@ -390,9 +456,8 @@ class TestOracleBundle:
 
     def test_logistic_zero_truth_is_exact(self):
         scn = small_scenario(
-            model=models.ModelSpec.from_config(
-                {"kind": "logistic", "design": "identity", "d": 2,
-                 "x_star": [0.0, 0.0]}))
+            model=models.ModelSpec("logistic", models.DesignSpec("identity", 2),
+                                   (0.0, 0.0)))
         bundle = make_oracle_bundle(scn)
         # at x*=0 the true A is I/4, so the covariance is 4I to the bit
         np.testing.assert_array_equal(bundle.matrix, 4 * np.eye(2))
@@ -400,8 +465,9 @@ class TestOracleBundle:
     @pytest.mark.parametrize("scn", [
         load_config(Path(__file__).parent.parent / "configs"
                     / "table1_identity_d5.yaml")["scenarios"][0],
-        small_scenario(model=models.ModelSpec.from_config(
-            {"kind": "linear", "design": "toeplitz", "d": 5, "rho": 0.5}))],
+        small_scenario(model=models.ModelSpec(
+            "linear", models.DesignSpec("toeplitz", 5, 0.5),
+            models.default_x_star(5), sigma=1.0))],
         ids=["table1-identity", "toeplitz-0.5"])
     def test_lengths_keep_their_bits(self, scn):
         # 2·(z·s) = (2z)·s exactly, and both square roots are correctly

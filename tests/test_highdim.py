@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestRadarSolve:
         cfg = RadarConfig(r1=1.1, s_bound=1, total_n=2000)
         x_hat = radar_lasso(design, b, cfg)
         assert np.abs(x_hat - x_star).sum() < 0.2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r1_rows": [8.0]}, {"s_rows": np.ones(5)}, {"fixed": [0, 1, 2]},
+        {"r1_rows": np.ones((4, 1))}], ids=["r1_rows", "s_rows", "fixed", "r1_rows-2d"])
+    def test_row_arguments_need_one_entry_per_target(self, rng, kwargs):
+        # r1_rows=[8.0] broadcast against 4 targets and left rows 1-3 zero
+        design = rng.standard_normal((200, 6))
+        cfg = RadarConfig(r1=1.5, s_bound=2, total_n=200)
+        name, rows = next(iter(kwargs.items()))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} has shape {np.shape(rows)}, targets need (4,)")):
+            radar_solve(design, design[:, :4], cfg, **kwargs)
 
     def test_degenerate_radius_pins_origin(self, rng):
         design, b, _ = sparse_problem(rng, 200, 3, [0.0], sigma=1.0)

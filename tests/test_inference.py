@@ -81,6 +81,8 @@ class TestConfidenceInterval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             confidence_interval(np.zeros(3), np.eye(2), 100, 0.05)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), need \(3, 3\)"):
+            confidence_interval(np.zeros(3), np.eye(2), 100, 0.05)
 
     def test_monotone_in_q(self):
         widths = [confidence_interval(np.zeros(2), np.eye(2), 100, q).half_width[0]

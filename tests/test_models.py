@@ -328,14 +328,6 @@ class TestSpecValidation:
             ModelSpec(ModelKind.LINEAR, DesignSpec("identity", 3), (0.0, 1.0),
                       sigma=1.0)
 
-    def test_from_config_literal(self):
-        got = ModelSpec.from_config({"kind": "linear", "design": "toeplitz",
-                                     "d": 4, "rho": 0.5, "sigma": 1.0})
-        assert got == linear_model(d=4, design=DesignKind.TOEPLITZ, rho=0.5)
-        got = ModelSpec.from_config({"kind": "logistic", "design": "identity",
-                                     "d": 2, "x_star": [0.5, -1.0]})
-        assert got == logistic_model(d=2, x_star=(0.5, -1.0))
-
     def test_default_x_star_endpoints(self):
         xs = default_x_star(5)
         np.testing.assert_allclose(xs, [0.0, 0.25, 0.5, 0.75, 1.0])

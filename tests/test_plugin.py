@@ -130,7 +130,8 @@ class TestPluginAccumulator:
 
     def test_dimension_mismatch(self):
         acc = PluginAccumulator(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"a \(2, 2\), r \(2,\), w \(2,\); "
+                                             r"need \(2, 3\), \(2,\), \(2,\)"):
             observe_rows(acc, 1, np.zeros((2, 2)), [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             observe_rows(acc, 1, np.zeros((2, 3)), [1.0], [1.0, 1.0])

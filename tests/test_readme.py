@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sgdinf import ModelSpec, StepSchedule, run
+from sgdinf import DesignSpec, ModelSpec, StepSchedule, run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -35,8 +35,7 @@ def test_sink_example_runs_through_run():
               if "class LastIterate" in b]
     scope = {}
     exec(block, scope)
-    model = ModelSpec.from_config(
-        {"kind": "logistic", "design": "identity", "d": 3})
+    model = ModelSpec("logistic", DesignSpec("identity", 3), (0.0, 0.5, 1.0))
     state, (last,) = run(model, 5000, StepSchedule(eta=1.0, alpha=0.5),
                          sinks=[scope["LastIterate"]()],
                          rng=np.random.default_rng(0))

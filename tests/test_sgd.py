@@ -521,3 +521,7 @@ class TestRun:
     def test_requires_rng_or_data(self):
         with pytest.raises(ValueError):
             run(linear_model(), 10, StepSchedule(0.5, 0.5))
+        with pytest.raises(ValueError, match=r"shapes \(10, 4\) and \(9,\), "
+                                             r"need \(10, 5\) and \(10,\)"):
+            run(linear_model(), 10, StepSchedule(0.5, 0.5),
+                data=(np.zeros((10, 4)), np.zeros(9)))
