@@ -210,8 +210,8 @@ def _nullable(convert):
 
 
 def _entries(value) -> list:
-    """A list of config entries; an empty or null value reads as none."""
-    if value and not isinstance(value, list):
+    """A list of config entries; null reads as none, false or {} as an error."""
+    if value is not None and not isinstance(value, list):
         raise ValueError(f"expected a list of entries, got {type(value).__name__}")
     return value or []
 

@@ -14,9 +14,10 @@ stream is folded into running second-moment statistics (Gram and
 cross-moment), and at each epoch boundary the accumulated l1-regularized
 quadratic is approximately minimized over the shrinking ball around the
 prox center by a fixed number (INNER_ITERS) of proximal-gradient sweeps,
-the fixed work per epoch of the annealed scheme. For quadratic losses this
-keeps the one-pass contract while giving each epoch the full statistical
-strength of every sample seen so far.
+the fixed work per epoch of the annealed scheme; a sweep is one affine map
+and a soft threshold, infinite on held coordinates. For quadratic losses
+this keeps the one-pass contract while giving each epoch the full
+statistical strength of every sample seen so far.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ def scale_into_ball(u: np.ndarray, radii: np.ndarray, p: float) -> None:
     out = np.abs(u).sum(axis=1) > radii
     if out.any():
         u[out] *= np.minimum(1.0, radii[out] / pball_norm(u[out], p))[:, None]
-
-
-def soft_threshold(z: np.ndarray, thr) -> np.ndarray:
-    """sign(z)·max(|z| − thr, 0), as z minus its clip to [−thr, thr]."""
-    return z - np.minimum(np.maximum(z, -thr), thr)
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,9 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     center, by exactly INNER_ITERS ISTA sweeps with radial feasibility
     projection, which needs the p-norm only of rows with |u|_1 > R_k:
     lp_geometry's p = q/(q-1) is at least 1, and |u|_p <= |u|_1 for p >= 1.
+    A sweep is one GEMM with the epoch's affine map z = x(I - G/L) + c/L,
+    then z minus its clip to [-lam_k/L, lam_k/L], infinite on a held
+    coordinate; L = lambda_max(G), from the smaller of D'D and DD'.
     Epoch lengths follow `config`; radii (default config.r1) and sparsities
     (default config.s_bound) are per row, with
     lam_k^2 = R_k * sqrt(log d) / (s_k * sqrt(T)) after T samples.
@@ -186,6 +185,7 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
     radii, s_rows = radii[live], s_rows[live]
     held = None if fixed is None else (np.arange(live.size), np.asarray(fixed)[live])
     x = np.zeros((live.size, d))
+    z, u = np.empty_like(x), np.empty_like(x)
     gram_sum = np.zeros((d, d))
     cross_sum = np.zeros((d, k))
     seen = 0
@@ -194,15 +194,22 @@ def radar_solve(D: np.ndarray, targets: np.ndarray, config: RadarConfig,
         gram_sum += block.T @ block
         cross_sum += block.T @ targets[seen:seen + ep.length]
         seen += ep.length
-        gram = gram_sum / seen
-        lip = float(np.linalg.eigvalsh(gram).max())
+        head = D[:seen]     # D'D and DD' share their nonzero eigenvalues
+        lip = float(np.linalg.eigvalsh(
+            head @ head.T if seen < d else gram_sum).max()) / seen
         if lip > 0.0:
             lam = np.sqrt(radii * math.sqrt(q / 2.0) / (s_rows * math.sqrt(seen)))
-            rhs, thr, center = cross_sum.T[live] / seen, lam[:, None] / lip, x
+            step = np.eye(d) - gram_sum / (seen * lip)
+            shift = cross_sum.T[live] / (seen * lip)
+            thr = np.repeat(lam[:, None] / lip, d, axis=1)
+            if held is not None:
+                thr[held] = np.inf      # z - clip(z, -inf, inf) is +0.0
+            low, center = -thr, x
             for _ in range(INNER_ITERS):
-                u = soft_threshold(x - (x @ gram - rhs) / lip, thr)
-                if held is not None:
-                    u[held] = 0.0       # the coordinate each row holds at zero
+                np.matmul(x, step, out=z)
+                z += shift
+                np.minimum(np.maximum(z, low, out=u), thr, out=u)
+                np.subtract(z, u, out=u)    # the soft threshold
                 u -= center
                 scale_into_ball(u, radii, p)
                 x = center + u

@@ -207,6 +207,16 @@ class TestHighdimSimulate:
         assert [ln.split(",")[1] for ln in lines[1:]] == ["debiased-s0",
                                                           "debiased-s0c"]
 
+    def test_golden_highdim_results_csv(self, tmp_path):
+        # golden_highdim_results.csv was written before the l1 sweep became
+        # one affine map; its Toeplitz entries run the node-wise sweeps, on
+        # seen < d and seen >= d epochs, which no shipped config does
+        out = tmp_path / "golden-highdim"
+        assert main(["highdim-simulate", "--config",
+                     str(DATA / "golden_highdim.yaml"), "--out", str(out)]) == 0
+        assert ((out / "results.csv").read_bytes()
+                == (DATA / "golden_highdim_results.csv").read_bytes())
+
     def test_requires_highdim_section(self, tmp_path, capsys):
         path = tmp_path / "lowonly.yaml"
         path.write_text("scenarios: []\n")

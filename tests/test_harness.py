@@ -332,6 +332,14 @@ class TestConfig:
         ("highdim[0]: id: expected a non-empty name without a comma or line "
          "break, got None", (("  - id: hd-smoke", "  - id: null"),),
          ["highdim-simulate"]),
+        # a falsy section read as an empty one and was skipped silently
+        *[(f"bad.yaml: scenarios: expected a list of entries, got {kind}",
+           ((SMALL_YAML[SMALL_YAML.index("scenarios:"):SMALL_YAML.index("highdim:")],
+             f"scenarios: {value}\n"),), ["simulate"])
+          for value, kind in (("false", "bool"), ("0", "int"), ("{}", "dict"))],
+        ("bad.yaml: highdim: expected a list of entries, got str",
+         ((SMALL_YAML[SMALL_YAML.index("highdim:"):], 'highdim: ""\n'),),
+         ["highdim-simulate"]),
     ])
     def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
                                           edits, argv):

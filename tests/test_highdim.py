@@ -309,6 +309,76 @@ class TestBatchedSolver:
             assert not together[np.arange(len(rows)), fixed[rows]].any()
 
 
+def textbook_sweeps(design, targets, cfg, r1_rows, s_rows, fixed):
+    """(epoch index, x, center) after every sweep of plain ISTA on each
+    epoch's G and c: a gradient step of size 1/lambda_max(G), a soft
+    threshold, the held coordinate zeroed, then the radial p-ball scaling.
+    Also returns how many sweeps scaled some row back into its ball."""
+    k, d = len(r1_rows), design.shape[1]
+    dim = d if fixed is None else d - 1
+    p, q = lp_geometry(dim)
+    radii = np.asarray(r1_rows, dtype=float)
+    s = np.maximum(np.asarray(s_rows, dtype=float), 1.0)
+    x, seen, steps, scaled = np.zeros((k, d)), 0, [], 0
+    for ep in epoch_plan(cfg, dim):
+        seen += ep.length
+        head = design[:seen]
+        gram, cross = head.T @ head / seen, head.T @ targets[:seen] / seen
+        lip = np.linalg.eigvalsh(gram).max()
+        lam = np.sqrt(radii * np.sqrt(q / 2) / (s * np.sqrt(seen)))
+        center = x
+        for _ in range(highdim.INNER_ITERS):
+            z = x - (x @ gram - cross.T) / lip
+            u = np.sign(z) * np.maximum(np.abs(z) - lam[:, None] / lip, 0.0)
+            if fixed is not None:
+                u[np.arange(k), fixed] = 0.0
+            u -= center
+            with np.errstate(divide="ignore"):
+                factor = np.minimum(1.0, radii / pball_norm(u, p))
+            scaled += bool((factor < 1.0).any())
+            x = center + u * factor[:, None]
+            steps.append((ep.index, x, center))
+        radii = radii / np.sqrt(2)
+    return steps, scaled
+
+
+class TestReferenceSweep:
+    @pytest.mark.parametrize("hold_zero", [False, True], ids=["free", "fixed"])
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_every_sweep_matches_textbook_ista(self, d, hold_zero, rng):
+        # the solver folds the gradient step into one affine map per epoch,
+        # holds a coordinate at zero through an infinite threshold and takes
+        # lambda_max from DD' while fewer than d samples are seen
+        n, k = d + 40, 4
+        idx = np.arange(d)
+        factor = np.linalg.cholesky(0.5 ** np.abs(idx[:, None] - idx[None, :]))
+        design = rng.standard_normal((n, d)) @ factor.T
+        coefs = np.zeros((d, k))
+        coefs[:3] = rng.uniform(-4.0, 4.0, (3, k))
+        targets = design @ coefs + rng.standard_normal((n, k))
+        r1_rows = np.array([1.0, 4.0, 8.0, 16.0])
+        s_rows = np.array([1, 2, 3, 0])
+        fixed = rng.integers(0, d, k) if hold_zero else None
+        cfg = RadarConfig(r1=16.0, s_bound=3, total_n=n)
+        seen = np.cumsum([ep.length for ep in epoch_plan(cfg, d - hold_zero)])
+        assert seen.min() < d <= seen.max()
+
+        got = []
+        radar_solve(design, targets, cfg, r1_rows, s_rows, fixed,
+                    on_step=lambda ep, x, y: got.append((ep.index, x, y)))
+        want, scaled = textbook_sweeps(design, targets, cfg, r1_rows, s_rows,
+                                       fixed)
+        assert len(got) == len(want) == len(seen) * highdim.INNER_ITERS
+        for (i, x, y), (j, x_ref, y_ref) in zip(got, want):
+            # x is kept, not copied: each sweep must hand on_step a new array
+            assert i == j
+            assert np.abs(x - x_ref).max() <= 1e-12 * max(1.0, np.abs(x_ref).max())
+            assert np.abs(y - y_ref).max() <= 1e-12 * max(1.0, np.abs(y_ref).max())
+        # the l1 term and the ball both bind somewhere along the path
+        assert any((x_ref == 0.0).sum() > hold_zero * k for _, x_ref, _ in want)
+        assert scaled
+
+
 def gram_of(design):
     return design.T @ design / design.shape[0]
 
