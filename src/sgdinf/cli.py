@@ -28,14 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="run low-dimensional coverage scenarios")
     _add_common(sim)
     sim.set_defaults(section="scenarios")
-    sim.add_argument("--fixed-design", action="store_true", default=None,
-                     help="draw one covariate stream per scenario and reuse it "
-                          "across replications")
 
     hd = subs.add_parser("highdim-simulate",
                          help="run sparse-regression debiasing scenarios")
     _add_common(hd)
-    hd.set_defaults(section="highdim", fixed_design=None)
+    hd.set_defaults(section="highdim")
 
     rep = subs.add_parser("report", help="pretty-print a results.csv")
     rep.add_argument("--results", required=True, help="results.csv path")
@@ -77,8 +74,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("simulate", "highdim-simulate"):
             rows = simulate(args.config, args.out, workers=args.workers,
-                            seed=args.seed, fixed_design=args.fixed_design,
-                            section=args.section)
+                            seed=args.seed, section=args.section)
             print(f"wrote {len(rows)} rows to {args.out}/results.csv")
             return 0
         if args.command == "report":

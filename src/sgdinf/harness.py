@@ -29,7 +29,6 @@ from .inference import confidence_interval
 from .plugin import PluginAccumulator
 from .sgd import DivergenceError, SinkFinalizeError, StepSchedule, run
 
-_DESIGN_TAG = 0xD351
 _XSTAR_TAG = 0x57A2
 _R1_SLACK = 1.1     # high-dimensional l1 radii over the true l1 norms
 
@@ -82,7 +81,6 @@ class ScenarioConfig:
     eta: float | None = None
     q: float = 0.05
     estimators: tuple = ()
-    fixed_design: bool = False
 
     def __post_init__(self):
         _check_shared(self)
@@ -225,9 +223,12 @@ def _flag(value) -> bool:
 
 
 def _name(value) -> str:
-    """A scenario id: one non-empty line without a comma, a results.csv cell."""
+    """A scenario id: one non-empty line without a comma, a results.csv cell.
+    A string or a number reads as its text; null, a boolean, a list or a
+    mapping is an error, not its repr."""
     text = str(value)
-    if value is None or "," in text or text.splitlines() != [text]:
+    if (value is None or isinstance(value, (bool, list, dict)) or "," in text
+            or text.splitlines() != [text]):
         raise ValueError("expected a non-empty name without a comma or line "
                          f"break, got {value!r}")
     return text
@@ -287,7 +288,7 @@ _ESTIMATOR_FIELDS = {
 _SCENARIO_FIELDS = {
     "id": _name, "model": _parse_model, "n": _integer, "n_sim": _integer,
     "seed": _integer, "alpha": _real, "eta": _real, "q": _real,
-    "estimators": _parse_estimators, "fixed_design": _flag}
+    "estimators": _parse_estimators}
 _HIGHDIM_FIELDS = {
     "id": _name, "n": _integer, "d": _integer, "s0": _integer, "seed": _integer,
     "n_sim": _integer, "coef_max": _real, "design": models.DesignKind,
@@ -362,13 +363,7 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
                     rep_seed: np.random.SeedSequence) -> ReplicationResult:
     """One independent draw + SGD pass + per-estimator interval reports."""
     model = scn.model
-    rng = np.random.default_rng(rep_seed)
-    covariates = None
-    if scn.fixed_design:
-        design_rng = np.random.default_rng(
-            np.random.SeedSequence((scn.seed, _DESIGN_TAG)))
-        covariates = models.sample_covariates(model.design, scn.n, design_rng)
-    data = models.sample_dataset(model, scn.n, rng, covariates=covariates)
+    data = models.sample_dataset(model, scn.n, np.random.default_rng(rep_seed))
 
     sinks = {}
     for choice in scn.estimators:
@@ -537,10 +532,9 @@ def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
         json.dump(doc, fh, indent=2)
 
 
-def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
-             section="scenarios"):
+def simulate(config_path, out_dir, workers=None, seed=None, section="scenarios"):
     """Run every scenario of one section of a config file: "scenarios" (the
-    low-dimensional ones; `fixed_design` applies to these) or "highdim".
+    low-dimensional ones) or "highdim".
     Writes results.csv and results.json to out_dir and returns the rows. A
     scenario whose replications all fail adds no rows; the rest still run,
     and the first such ScenarioFailedError is raised after the writes."""
@@ -554,8 +548,6 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
     overrides = {}
     if seed is not None:
         overrides["seed"] = int(seed)
-    if fixed_design is not None:
-        overrides["fixed_design"] = bool(fixed_design)
     try:    # a new seed draws a new x*, which the budget check reads
         scenarios = [dataclasses.replace(scn, **overrides) for scn in cfg[section]]
     except ValueError as exc:
@@ -575,8 +567,6 @@ def simulate(config_path, out_dir, workers=None, seed=None, fixed_design=None,
         if fails:
             failures[scn.scenario_id] = fails
     echo = {"path": str(config_path), "workers": workers, "seed_override": seed}
-    if section == "scenarios":
-        echo["fixed_design"] = fixed_design
     used = max(pool_size(workers, scn.n_sim) for scn in scenarios)
     write_results(all_rows, failures, out_dir, echo, workers_used=used)
     if failed is not None:

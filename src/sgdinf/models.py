@@ -114,20 +114,10 @@ def sample_covariates(design: DesignSpec, n: int,
     return z @ np.linalg.cholesky(make_covariance(design)).T
 
 
-def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator,
-                   covariates: np.ndarray | None = None):
+def sample_dataset(model: ModelSpec, n: int, rng: np.random.Generator):
     """Vectorized draw of n points; returns (A, b) with A of shape (n, d).
-    The covariates are drawn first, then the responses.
-
-    When `covariates` is given only the responses are drawn (fixed-design
-    replications).
-    """
-    if covariates is None:
-        a = sample_covariates(model.design, n, rng)
-    else:
-        a = covariates
-        if a.shape != (n, model.d):
-            raise ValueError("covariate array has wrong shape")
+    The covariates are drawn first, then the responses."""
+    a = sample_covariates(model.design, n, rng)
     mean = a @ model.xs
     if model.kind is ModelKind.LINEAR:
         b = mean + model.sigma * rng.standard_normal(n)

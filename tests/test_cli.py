@@ -93,11 +93,13 @@ class TestSimulate:
               "--seed", "12345"])
         assert (out1 / "results.csv").read_text() != (out2 / "results.csv").read_text()
 
-    def test_fixed_design_flag_accepted(self, config_path, tmp_path):
+    def test_removed_fixed_design_flag_exits_2(self, config_path, tmp_path):
         out = tmp_path / "fd"
-        rc = main(["simulate", "--config", str(config_path), "--out", str(out),
-                   "--fixed-design"])
-        assert rc == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(config_path), "--out", str(out),
+                  "--fixed-design"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
     def test_golden_results_csv(self, tmp_path):

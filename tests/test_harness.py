@@ -177,8 +177,6 @@ class TestConfig:
     @pytest.mark.parametrize("key,old,new", [
         ("estimators: plugin", "      plugin: true", '      plugin: "false"'),
         ("estimators: oracle", "      oracle: true", '      oracle: "no"'),
-        ("fixed_design", "    q: 0.05", '    q: 0.05\n    fixed_design: "false"'),
-        ("fixed_design", "    q: 0.05", "    q: 0.05\n    fixed_design: 0"),
     ])
     def test_flag_must_be_yaml_boolean(self, tmp_path, key, old, new):
         # a quoted "false" is a non-empty string, which bool() reads as true
@@ -340,6 +338,20 @@ class TestConfig:
         ("bad.yaml: highdim: expected a list of entries, got str",
          ((SMALL_YAML[SMALL_YAML.index("highdim:"):], 'highdim: ""\n'),),
          ["highdim-simulate"]),
+        # the removed fixed-design mode's key, like oracle_mc_samples above
+        ("scenarios[0]: unknown key(s) fixed_design in scenario",
+         (("    q: 0.05", "    q: 0.05\n    fixed_design: true"),),
+         ["simulate"]),
+        # a boolean, a list or a mapping loaded as its repr, e.g. the id "True"
+        ("bad.yaml: scenarios[0]: id: expected a non-empty name without a "
+         "comma or line break, got True",
+         (("  - id: smoke", "  - id: true"),), ["simulate"]),
+        ("highdim[0]: id: expected a non-empty name without a comma or line "
+         "break, got ['a']", (("  - id: hd-smoke", "  - id: [a]"),),
+         ["highdim-simulate"]),
+        ("scenarios[0]: id: expected a non-empty name without a comma or line "
+         "break, got {'a': 1}", (("  - id: smoke", "  - id: {a: 1}"),),
+         ["simulate"]),
     ])
     def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
                                           edits, argv):
@@ -423,10 +435,8 @@ class TestConfig:
     def test_flags_load_as_given(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(SMALL_YAML.replace(
-            "    q: 0.05", "    q: 0.05\n    fixed_design: true", 1).replace(
             "      oracle: true", "      oracle: false", 1))
         scn = load_config(path)["scenarios"][0]
-        assert scn.fixed_design is True
         assert scn.labels == ("plugin", "bm-0.25")
 
     def test_benchmark_config_loads(self, tmp_path, monkeypatch):
@@ -512,15 +522,6 @@ class TestReplication:
         seed = np.random.SeedSequence(scn.seed).spawn(1)[0]
         out = run_replication(scn, bundle, 0, seed)
         assert not any(v.any() for v in out.hits.values())
-
-    def test_fixed_design_shares_covariates(self):
-        scn = small_scenario(fixed_design=True, n=300)
-        bundle = make_oracle_bundle(scn)
-        seeds = np.random.SeedSequence(scn.seed).spawn(2)
-        r0 = run_replication(scn, bundle, 0, seeds[0])
-        r1 = run_replication(scn, bundle, 1, seeds[1])
-        # different noise -> different intervals, same design stream
-        assert not np.array_equal(r0.lengths["plugin"], r1.lengths["plugin"])
 
 
 class TestAggregate:

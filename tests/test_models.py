@@ -97,27 +97,24 @@ class TestSampling:
         emp = a.T @ a / a.shape[0]
         assert np.abs(emp - make_covariance(model.design)).max() < 0.05
 
-    def test_logistic_conditional_probability_at_fixed_a(self, rng):
-        # empirical P(b=+1|a) over 1e5 draws at one fixed covariate
+    def test_logistic_conditional_probability_at_fixed_a(self, rng, monkeypatch):
+        # empirical P(b=+1|a) over 1e5 draws at one fixed covariate, which
+        # stands in for the covariate draw
         model = logistic_model(d=3, x_star=(0.4, -0.3, 0.8))
         a = np.array([1.2, 0.5, -0.7])
         fixed = np.tile(a, (100000, 1))
-        _, b = sample_dataset(model, 100000, rng, covariates=fixed)
+        monkeypatch.setattr(models, "sample_covariates", lambda *_: fixed)
+        drawn, b = sample_dataset(model, 100000, rng)
+        assert drawn is fixed
         want = sigmoid(a @ model.xs)
         assert abs((b == 1).mean() - want) < 0.01
-
-    def test_fixed_covariates_reused(self, rng):
-        model = linear_model(d=3)
-        cov = rng.standard_normal((50, 3))
-        a, _ = sample_dataset(model, 50, rng, covariates=cov)
-        assert a is cov
 
     @pytest.mark.parametrize("design,rho", [("identity", 0.0),
                                             ("toeplitz", 0.5),
                                             ("equicorr", 0.3)])
     def test_dataset_draws_its_covariates_first(self, design, rho):
-        # a fixed design drawn with sample_covariates is the covariate half
-        # of sample_dataset's draw from the same seed
+        # sample_covariates from a seed gives the covariate half of
+        # sample_dataset's draw from the same seed
         model = logistic_model(d=4, design=design, rho=rho)
         a, _ = sample_dataset(model, 300, np.random.default_rng(5))
         fixed = sample_covariates(model.design, 300, np.random.default_rng(5))
