@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, highdim-simulate, report, schedule-dump."""
+"""Command-line interface: simulate, report, schedule-dump."""
 
 from __future__ import annotations
 
@@ -9,15 +9,6 @@ from .batchmeans import ScheduleError, make_schedule
 from .harness import ConfigError, ScenarioFailedError, simulate
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="YAML scenario file")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="parallel replication workers (default: from config)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override every scenario's base seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgdinf",
@@ -25,14 +16,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulations and batch-schedule tools.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="run low-dimensional coverage scenarios")
-    _add_common(sim)
-    sim.set_defaults(section="scenarios")
-
-    hd = subs.add_parser("highdim-simulate",
-                         help="run sparse-regression debiasing scenarios")
-    _add_common(hd)
-    hd.set_defaults(section="highdim")
+    sim = subs.add_parser("simulate", help="run every entry of a config file")
+    sim.add_argument("--config", required=True, help="YAML scenario file")
+    sim.add_argument("--out", required=True, help="output directory")
+    sim.add_argument("--workers", type=int, default=None,
+                     help="parallel replication workers (default: from config)")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="override every scenario's base seed")
 
     rep = subs.add_parser("report", help="pretty-print a results.csv")
     rep.add_argument("--results", required=True, help="results.csv path")
@@ -72,9 +62,8 @@ def _cmd_report(path: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("simulate", "highdim-simulate"):
-            rows = simulate(args.config, args.out, workers=args.workers,
-                            seed=args.seed, section=args.section)
+        if args.command == "simulate":
+            rows = simulate(args.config, args.out, args.workers, args.seed)
             print(f"wrote {len(rows)} rows to {args.out}/results.csv")
             return 0
         if args.command == "report":

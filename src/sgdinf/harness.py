@@ -95,6 +95,10 @@ class ScenarioConfig:
                     raise ValueError(
                         f"batch_means: exponent {choice.c:g} gives M = {m} "
                         f"batch at n = {self.n}, need M >= 2")
+        try:    # every row's oracle_len needs the oracle, selected or not
+            models.oracle_covariance(self.model)
+        except models.OracleError as exc:
+            raise ValueError(f"model: x_star: {exc}") from None
 
     @property
     def resolved_eta(self) -> float:
@@ -129,6 +133,10 @@ class HighDimScenario:
             raise ValueError(f"s0 must lie in [1, d) = [1, {self.d}), got {self.s0}")
         if self.coef_max < 0:
             raise ValueError(f"coef_max must be >= 0, got {self.coef_max:g}")
+        bound = _R1_SLACK * self.s0 * self.coef_max     # bounds the l1 radius
+        if not bound * bound < np.inf:      # which the l1 solver squares
+            raise ValueError(f"coef_max: {self.coef_max:g} is too large: "
+                             f"({_R1_SLACK:g}·s0·coef_max)² overflows")
         model = self.model      # builds the design, which checks d and rho
         # the budget n must cover the first epoch of both solves
         try:
@@ -313,10 +321,10 @@ def load_config(path) -> dict:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     out = {"scenarios": [], "highdim": [], "workers": workers}
+    ids = {}     # rows and failures are keyed by the id, across both sections
     for section, cls, fields, where in (
             ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
             ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):
-        ids = {}     # rows and failures are keyed by the id
         for i, scn in enumerate(top.get(section, [])):
             try:
                 values = _convert(scn, fields, where)
@@ -327,8 +335,8 @@ def load_config(path) -> dict:
             scn_id = out[section][-1].scenario_id
             if scn_id in ids:
                 raise ConfigError(f"{path}: {section}[{i}]: id: {scn_id!r} is "
-                                  f"also the id of {section}[{ids[scn_id]}]")
-            ids[scn_id] = i
+                                  f"also the id of {ids[scn_id]}")
+            ids[scn_id] = f"{section}[{i}]"
     return out
 
 
@@ -532,15 +540,15 @@ def write_results(rows: list, failures: dict, out_dir, config_echo: dict,
         json.dump(doc, fh, indent=2)
 
 
-def simulate(config_path, out_dir, workers=None, seed=None, section="scenarios"):
-    """Run every scenario of one section of a config file: "scenarios" (the
-    low-dimensional ones) or "highdim".
-    Writes results.csv and results.json to out_dir and returns the rows. A
-    scenario whose replications all fail adds no rows; the rest still run,
+def simulate(config_path, out_dir, workers=None, seed=None):
+    """Run every entry of a config file, its scenarios and then its highdim
+    entries, into results.csv and results.json in out_dir; returns the rows.
+    A scenario whose replications all fail adds no rows; the rest still run,
     and the first such ScenarioFailedError is raised after the writes."""
     cfg = load_config(config_path)
-    if not cfg[section]:
-        raise ConfigError(f"{config_path}: no '{section}' section")
+    entries = cfg["scenarios"] + cfg["highdim"]
+    if not entries:
+        raise ConfigError(f"{config_path}: no scenarios or highdim entries")
     if workers is None:
         workers = cfg["workers"]
     elif workers < 1:
@@ -549,7 +557,7 @@ def simulate(config_path, out_dir, workers=None, seed=None, section="scenarios")
     if seed is not None:
         overrides["seed"] = int(seed)
     try:    # a new seed draws a new x*, which the budget check reads
-        scenarios = [dataclasses.replace(scn, **overrides) for scn in cfg[section]]
+        scenarios = [dataclasses.replace(scn, **overrides) for scn in entries]
     except ValueError as exc:
         raise ConfigError(f"{config_path}: with --seed {seed}: {exc}") from None
     try:    # before any replication runs

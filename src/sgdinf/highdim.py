@@ -120,10 +120,11 @@ def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
     epochs: list[Epoch] = []
     used = 0
     while used < config.total_n:
-        if radius > 0:
-            t_i = max(config.t_min, math.ceil(s * s * log_d / radius ** 2))
-        else:
-            t_i = config.t_min
+        try:    # an R_i^2 that overflows needs 0 samples, one that underflows inf
+            need = s * s * log_d / radius ** 2 if radius > 0 else 0.0
+        except (OverflowError, ZeroDivisionError) as exc:
+            need = 0.0 if isinstance(exc, OverflowError) else math.inf
+        t_i = max(config.t_min, math.ceil(need)) if need < math.inf else need
         if used + t_i > config.total_n or len(epochs) == MAX_EPOCHS:
             if not epochs:
                 raise RadarConfigError(

@@ -170,8 +170,9 @@ def population_hessian(model: ModelSpec) -> np.ndarray:
     sigma = make_covariance(model.design)
     if model.kind is ModelKind.LINEAR:
         return sigma
-    v = sigma @ model.xs
-    s2 = float(model.xs @ v)
+    with np.errstate(over="ignore"):    # an overflow is reported below
+        v = sigma @ model.xs
+        s2 = float(model.xs @ v)
     if s2 == 0.0:
         return sigma / 4.0
     if not s2 < np.inf:     # overflow: ℓ″(aᵀx*) = 0 almost surely, A = 0

@@ -322,17 +322,17 @@ def test_c10_highdim_coverage_and_ols_identity():
 
 
 def test_c11_byte_determinism(tmp_path):
+    # one run writes the scenarios' rows and then the highdim entry's
     cfg_path = CONFIG_DIR / "demo_small.yaml"
-    outs = {"scenarios": [], "highdim": []}
+    csvs = []
     for name, workers in (("a", 1), ("b", 3), ("c", 3)):
-        for section, csvs in outs.items():
-            out = tmp_path / name / section
-            harness.simulate(cfg_path, out, workers=workers, section=section)
-            csvs.append((out / "results.csv").read_bytes())
-    clauses = []
-    for section, csvs in outs.items():
-        clauses += [
-            (f"{section}: workers=1 vs workers=3 byte-identical", csvs[0] == csvs[1]),
-            (f"{section}: repeat run byte-identical", csvs[1] == csvs[2]),
-        ]
+        harness.simulate(cfg_path, tmp_path / name, workers=workers)
+        csvs.append((tmp_path / name / "results.csv").read_bytes())
+    scenarios = [line.split(b",")[0] for line in csvs[0].splitlines()[1:]]
+    clauses = [
+        ("rows of both sections, scenarios first",
+         scenarios == [b"demo-linear-toeplitz"] * 3 + [b"demo-highdim"] * 2),
+        ("workers=1 vs workers=3 byte-identical", csvs[0] == csvs[1]),
+        ("repeat run byte-identical", csvs[1] == csvs[2]),
+    ]
     _emit("C11 deterministic outputs", clauses)

@@ -73,10 +73,11 @@ class TestSimulate:
         assert rc == 0
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert lines[0].startswith("scenario,estimator")
-        estimators = [ln.split(",")[1] for ln in lines[1:]]
+        estimators = [ln.split(",")[1] for ln in lines[1:]
+                      if ln.startswith("cli-smoke,")]
         assert estimators == ["plugin", "bm-0.2", "bm-0.25", "bm-0.3", "oracle"]
         doc = json.loads((out / "results.json").read_text())
-        assert len(doc["rows"]) == 5
+        assert len([r for r in doc["rows"] if r["scenario"] == "cli-smoke"]) == 5
 
     def test_byte_identical_across_worker_counts(self, config_path, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -101,6 +102,38 @@ class TestSimulate:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_removed_highdim_simulate_exits_2(self, config_path, tmp_path):
+        # simulate runs the highdim entries too
+        out = tmp_path / "hd"
+        with pytest.raises(SystemExit) as exc:
+            main(["highdim-simulate", "--config", str(config_path),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_two_sections_write_both_sections_rows(self, tmp_path):
+        # the scenarios' rows, then the highdim entries', each as if run alone
+        split = CONFIG.index("highdim:")
+        texts = {"both": CONFIG, "low": CONFIG[:split], "high": CONFIG.replace(
+            CONFIG[CONFIG.index("scenarios:"):split], "")}
+        csvs = {}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            assert main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / name)]) == 0
+            csvs[name] = (tmp_path / name / "results.csv").read_bytes()
+        high_rows = csvs["high"].split(b"\n", 1)[1]
+        assert csvs["both"] == csvs["low"] + high_rows
+        assert high_rows.startswith(b"cli-hd,")
+
+    def test_requires_some_entry(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text("scenarios: []\nhighdim:\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "empty.yaml: no scenarios or highdim entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_golden_results_csv(self, tmp_path):
         # tests/data/golden_results.csv was written by this config before
@@ -199,50 +232,42 @@ class TestSimulate:
         assert len(lines) == 1 + 5
 
 
-class TestHighdimSimulate:
+class TestHighdimEntries:
     def test_end_to_end(self, config_path, tmp_path):
         out = tmp_path / "hd"
-        rc = main(["highdim-simulate", "--config", str(config_path),
-                   "--out", str(out)])
+        rc = main(["simulate", "--config", str(config_path), "--out", str(out)])
         assert rc == 0
         lines = (out / "results.csv").read_text().strip().splitlines()
-        assert [ln.split(",")[1] for ln in lines[1:]] == ["debiased-s0",
-                                                          "debiased-s0c"]
+        assert [ln.split(",")[1] for ln in lines[1:]
+                if ln.startswith("cli-hd,")] == ["debiased-s0", "debiased-s0c"]
 
     def test_golden_highdim_results_csv(self, tmp_path):
         # golden_highdim_results.csv was written before the l1 sweep became
         # one affine map; its Toeplitz entries run the node-wise sweeps, on
         # seen < d and seen >= d epochs, which no shipped config does
         out = tmp_path / "golden-highdim"
-        assert main(["highdim-simulate", "--config",
+        assert main(["simulate", "--config",
                      str(DATA / "golden_highdim.yaml"), "--out", str(out)]) == 0
         assert ((out / "results.csv").read_bytes()
                 == (DATA / "golden_highdim_results.csv").read_bytes())
 
-    def test_requires_highdim_section(self, tmp_path, capsys):
-        path = tmp_path / "lowonly.yaml"
-        path.write_text("scenarios: []\n")
-        rc = main(["highdim-simulate", "--config", str(path),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("command,where,old,new", [
-        ("simulate", "scenarios[0]", "    n_sim: 4", "    n_sim: 0"),
-        ("simulate", "scenarios[0]", "    eta: 0.5", "    eta: 0.5\n    q: 2"),
-        ("simulate", "scenarios[0]", "    n: 1200", "    n: 3"),
-        ("highdim-simulate", "highdim[0]", "    coef_max: 5.0",
+    @pytest.mark.parametrize("where,old,new", [
+        ("scenarios[0]", "    n_sim: 4", "    n_sim: 0"),
+        ("scenarios[0]", "    eta: 0.5", "    eta: 0.5\n    q: 2"),
+        ("scenarios[0]", "    n: 1200", "    n: 3"),
+        ("highdim[0]", "    coef_max: 5.0",
          "    coef_max: 5.0\n    design: toeplitz\n    rho: 1.5"),
-        ("highdim-simulate", "highdim[0]", "    n_sim: 2", "    n_sim: 0"),
+        ("highdim[0]", "    n_sim: 2", "    n_sim: 0"),
     ])
     def test_bad_value_is_exit_2_naming_file_and_entry(
-            self, tmp_path, capsys, command, where, old, new):
+            self, tmp_path, capsys, where, old, new):
         path = tmp_path / "badvalue.yaml"
         assert old in CONFIG
         path.write_text(CONFIG.replace(old, new, 1))
         out = tmp_path / "out"
-        rc = main([command, "--config", str(path), "--out", str(out)])
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

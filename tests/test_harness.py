@@ -243,9 +243,8 @@ class TestConfig:
             load_config(path)
         message = f"{key}: expected a finite number, got {shown}"
         assert "reals.yaml" in str(err.value) and message in str(err.value)
-        command = "simulate" if key.startswith("scenarios") else "highdim-simulate"
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -255,16 +254,16 @@ class TestConfig:
          (("    n: 2000", "    n: 0"), ("      batch_means: [0.25]\n", "")),
          ["simulate"]),
         ("highdim[0]: n, t_min: budget 5 cannot cover one epoch of length 8",
-         (("    n: 60", "    n: 5"),), ["highdim-simulate"]),
+         (("    n: 60", "    n: 5"),), ["simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 12), got 0",
-         (("    s0: 2", "    s0: 0"),), ["highdim-simulate"]),
+         (("    s0: 2", "    s0: 0"),), ["simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 12), got 12",
-         (("    s0: 2", "    s0: 12"),), ["highdim-simulate"]),
+         (("    s0: 2", "    s0: 12"),), ["simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 10), got 20",
          (("    s0: 2", "    s0: 20"), ("    d: 12", "    d: 10")),
-         ["highdim-simulate"]),
+         ["simulate"]),
         ("highdim[0]: s0 must lie in [1, d) = [1, 12), got -1",
-         (("    s0: 2", "    s0: -1"),), ["highdim-simulate"]),
+         (("    s0: 2", "    s0: -1"),), ["simulate"]),
         # the exact logistic oracle has no sample count to set
         ("scenarios[0]: unknown key(s) oracle_mc_samples in scenario",
          (("kind: linear", "kind: logistic"), ("      sigma: 1.0\n", ""),
@@ -291,9 +290,9 @@ class TestConfig:
         ("bad.yaml: highdim[1]: id: 'hd-smoke' is also the id of highdim[0]",
          (("    coef_max: 10.0\n", "    coef_max: 10.0\n"
            + SMALL_YAML[SMALL_YAML.index("  - id: hd-smoke"):]),),
-         ["highdim-simulate"]),
+         ["simulate"]),
         ("highdim[0]: coef_max must be >= 0, got -5",
-         (("coef_max: 10.0", "coef_max: -5.0"),), ["highdim-simulate"]),
+         (("coef_max: 10.0", "coef_max: -5.0"),), ["simulate"]),
         ("bad.yaml: workers: must be >= 1, got -3",
          (("workers: 1", "workers: -3"),), ["simulate"]),
         # enumerate() read a number as the list of entries (TypeError, exit
@@ -303,7 +302,7 @@ class TestConfig:
            "scenarios: 5\n"),), ["simulate"]),
         ("bad.yaml: highdim: expected a list of entries, got int",
          ((SMALL_YAML[SMALL_YAML.index("highdim:"):], "highdim: 7\n"),),
-         ["highdim-simulate"]),
+         ["simulate"]),
         ("bad.yaml: scenarios: expected a list of entries, got dict",
          (("scenarios:\n  - id: smoke", "scenarios:\n    id: smoke"),),
          ["simulate"]),
@@ -313,11 +312,12 @@ class TestConfig:
         ("bad.yaml: scenarios[0]: seed must be >= 0, got -1",
          (("    seed: 11", "    seed: -1"),), ["simulate"]),
         ("bad.yaml: highdim[0]: seed must be >= 0, got -1",
-         (("    seed: 5", "    seed: -1"),), ["highdim-simulate"]),
+         (("    seed: 5", "    seed: -1"),), ["simulate"]),
         ("bad.yaml: with --seed -3: seed must be >= 0, got -3", (),
          ["simulate", "--seed", "-3"]),
-        ("bad.yaml: with --seed -3: seed must be >= 0, got -3", (),
-         ["highdim-simulate", "--seed", "-3"]),
+        ("bad.yaml: with --seed -3: seed must be >= 0, got -3",
+         ((SMALL_YAML[SMALL_YAML.index("scenarios:"):SMALL_YAML.index("highdim:")],
+           ""),), ["simulate", "--seed", "-3"]),
         # an id is one cell of results.csv; null read as the id "None"
         ("bad.yaml: scenarios[0]: id: expected a non-empty name without a "
          "comma or line break, got 'smoke, identity'",
@@ -329,7 +329,7 @@ class TestConfig:
          "break, got ''", (("  - id: smoke", '  - id: ""'),), ["simulate"]),
         ("highdim[0]: id: expected a non-empty name without a comma or line "
          "break, got None", (("  - id: hd-smoke", "  - id: null"),),
-         ["highdim-simulate"]),
+         ["simulate"]),
         # a falsy section read as an empty one and was skipped silently
         *[(f"bad.yaml: scenarios: expected a list of entries, got {kind}",
            ((SMALL_YAML[SMALL_YAML.index("scenarios:"):SMALL_YAML.index("highdim:")],
@@ -337,7 +337,7 @@ class TestConfig:
           for value, kind in (("false", "bool"), ("0", "int"), ("{}", "dict"))],
         ("bad.yaml: highdim: expected a list of entries, got str",
          ((SMALL_YAML[SMALL_YAML.index("highdim:"):], 'highdim: ""\n'),),
-         ["highdim-simulate"]),
+         ["simulate"]),
         # the removed fixed-design mode's key, like oracle_mc_samples above
         ("scenarios[0]: unknown key(s) fixed_design in scenario",
          (("    q: 0.05", "    q: 0.05\n    fixed_design: true"),),
@@ -348,10 +348,30 @@ class TestConfig:
          (("  - id: smoke", "  - id: true"),), ["simulate"]),
         ("highdim[0]: id: expected a non-empty name without a comma or line "
          "break, got ['a']", (("  - id: hd-smoke", "  - id: [a]"),),
-         ["highdim-simulate"]),
+         ["simulate"]),
         ("scenarios[0]: id: expected a non-empty name without a comma or line "
          "break, got {'a': 1}", (("  - id: smoke", "  - id: {a: 1}"),),
          ["simulate"]),
+        # every row's oracle_len needs the oracle, which raised OracleError
+        # (exit 1, --out left empty) although no oracle row was selected
+        ("bad.yaml: scenarios[0]: model: x_star: Hessian is numerically "
+         "singular: x*ᵀΣx* overflows",
+         (("kind: linear", "kind: logistic"), ("      sigma: 1.0\n", ""),
+          ("      d: 3\n", "      d: 3\n      x_star: [1.0e200, 1.0e200, 0.0]\n"),
+          ("      batch_means: [0.25]\n      oracle: true\n", "")),
+         ["simulate"]),
+        # epoch_plan squared the l1 radius into an OverflowError (exit 1), and
+        # an infinite radius was blamed on n and t_min
+        *[("bad.yaml: highdim[0]: coef_max: 1e+308 is too large: "
+           "(1.1·s0·coef_max)² overflows",
+           (("coef_max: 10.0", "coef_max: 1.0e308"), ("    s0: 2", f"    s0: {s0}")),
+           ["simulate"]) for s0 in (2, 3)],
+        # an l1 radius whose square underflows divided by zero (exit 1)
+        ("bad.yaml: highdim[0]: n, t_min: budget 60 cannot cover one epoch of "
+         "length inf", (("coef_max: 10.0", "coef_max: 1.0e-200"),), ["simulate"]),
+        # rows and failures are keyed by the id across both sections
+        ("bad.yaml: highdim[0]: id: 'smoke' is also the id of scenarios[0]",
+         (("  - id: hd-smoke", "  - id: smoke"),), ["simulate"]),
     ])
     def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
                                           edits, argv):
@@ -376,7 +396,7 @@ class TestConfig:
             "    seed: 5", "    seed: 1").replace("coef_max: 10.0", "coef_max: 1.0"))
         assert load_config(path)["highdim"][0].seed == 1
         out = tmp_path / "out"
-        assert main(["highdim-simulate", "--config", str(path), "--out",
+        assert main(["simulate", "--config", str(path), "--out",
                      str(out), "--seed", "3"]) == 2
         assert ("seeded.yaml: with --seed 3: n, t_min: budget 10 cannot cover "
                 "one epoch of length 38") in capsys.readouterr().err
@@ -648,7 +668,8 @@ class TestScenarioRuns:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spy)
         path = tmp_path / "one.yaml"
-        path.write_text(SMALL_YAML.replace("    n_sim: 4", "    n_sim: 1"))
+        path.write_text(SMALL_YAML.replace("    n_sim: 4", "    n_sim: 1")
+                        .replace("    n_sim: 3", "    n_sim: 1"))
         rows = harness.simulate(path, tmp_path / "out", workers=2)
         assert pools == []
         assert {r.n_sim for r in rows} == {1}
@@ -713,14 +734,14 @@ highdim:
             return fit
 
         monkeypatch.setattr(harness, "fit_debiased_lasso", recording)
-        rows = harness.simulate(path, tmp_path / "w1", workers=1, section="highdim")
+        rows = harness.simulate(path, tmp_path / "w1", workers=1)
         assert [r.n_sim for r in rows] == [4, 4]
         assert len(gammas) == 4
         for gamma in gammas:
             assert gamma.shape == (8, 7)
             assert (np.abs(gamma).max(axis=1) > 0).all()
         monkeypatch.undo()
-        harness.simulate(path, tmp_path / "w2", workers=2, section="highdim")
+        harness.simulate(path, tmp_path / "w2", workers=2)
         assert ((tmp_path / "w1" / "results.csv").read_bytes()
                 == (tmp_path / "w2" / "results.csv").read_bytes())
 
@@ -738,7 +759,8 @@ highdim:
         monkeypatch.setattr(harness, "fit_debiased_lasso", flaky)
         path = tmp_path / "cfg.yaml"
         path.write_text(SMALL_YAML)
-        rows = harness.simulate(path, tmp_path / "out", workers=1, section="highdim")
+        rows = [r for r in harness.simulate(path, tmp_path / "out", workers=1)
+                if r.scenario == "hd-smoke"]
         assert [r.n_sim for r in rows] == [2, 2]
         assert [r.intervals for r in rows] == [2 * 2, 2 * 10]
         doc = json.loads((tmp_path / "out" / "results.json").read_text())

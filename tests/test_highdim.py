@@ -49,6 +49,17 @@ class TestEpochPlan:
         with pytest.raises(RadarConfigError):
             epoch_plan(RadarConfig(r1=1.0, s_bound=1, total_n=3, t_min=8), 10)
 
+    def test_radius_whose_square_overflows_gets_t_min(self):
+        # (1e200)^2 raised OverflowError; s^2*log(d)/R^2 underflows to 0
+        plan = epoch_plan(RadarConfig(r1=1e200, s_bound=1, total_n=100), 10)
+        assert [e.length for e in plan] == [8] * 11 + [12]
+
+    @pytest.mark.parametrize("r1", [1e-200, 1e-160])
+    def test_radius_whose_square_underflows_needs_too_much(self, r1):
+        # R^2 = 0 raised ZeroDivisionError, a subnormal R^2 gave ceil(inf)
+        with pytest.raises(RadarConfigError, match="length inf"):
+            epoch_plan(RadarConfig(r1=r1, s_bound=1, total_n=100), 10)
+
     @pytest.mark.parametrize("r1", [math.nan, math.inf, -1.0])
     def test_radius_must_be_finite_and_nonnegative(self, r1):
         with pytest.raises(RadarConfigError):
