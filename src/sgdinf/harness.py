@@ -58,18 +58,6 @@ def _check_shared(scn) -> None:
             raise ValueError(f"{key} must be >= {least}, got {getattr(scn, key)}")
 
 
-@dataclass(frozen=True)
-class EstimatorChoice:
-    kind: str                  # "plugin" | "bm" | "oracle"
-    c: float | None = None     # batch-count exponent for "bm"
-
-    @property
-    def label(self) -> str:
-        if self.kind == "bm":
-            return f"bm-{self.c:g}"
-        return self.kind
-
-
 @dataclass
 class ScenarioConfig:
     scenario_id: str
@@ -80,20 +68,20 @@ class ScenarioConfig:
     alpha: float = 0.5
     eta: float | None = None
     q: float = 0.05
-    estimators: tuple = ()
+    estimators: dict = field(default_factory=dict)  # label -> bm exponent or None
 
     def __post_init__(self):
         _check_shared(self)
         if not self.estimators:
             raise ValueError("scenario selects no estimators")
         StepSchedule(self.resolved_eta, self.alpha)     # checks eta and alpha
-        for choice in self.estimators:
-            if choice.kind == "bm":     # raises ScheduleError if infeasible
-                m = batch_count(self.n, choice.c)
+        for c in self.estimators.values():
+            if c is not None:   # raises ScheduleError if infeasible
+                m = batch_count(self.n, c)
                 make_schedule(self.n, m, self.alpha)
                 if m < 2:   # one batch mean is the overall mean: estimate 0
                     raise ValueError(
-                        f"batch_means: exponent {choice.c:g} gives M = {m} "
+                        f"batch_means: exponent {c:g} gives M = {m} "
                         f"batch at n = {self.n}, need M >= 2")
         try:    # every row's oracle_len needs the oracle, selected or not
             models.oracle_covariance(self.model)
@@ -108,7 +96,7 @@ class ScenarioConfig:
 
     @property
     def labels(self) -> tuple:
-        return tuple(choice.label for choice in self.estimators)
+        return tuple(self.estimators)
 
 
 @dataclass
@@ -138,13 +126,16 @@ class HighDimScenario:
             raise ValueError(f"coef_max: {self.coef_max:g} is too large: "
                              f"({_R1_SLACK:g}·s0·coef_max)² overflows")
         model = self.model      # builds the design, which checks d and rho
-        # the budget n must cover the first epoch of both solves
+        # the budget n must cover the first epoch of both solves, which is
+        # t_min long unless the radius, from coef_max or rho, makes it longer
         try:
             main, node, _, _ = _radar_configs(self, model)
-            for cfg, dim in ((main, self.d), (node, self.d - 1)):
+            for key, cfg, dim in (("coef_max", main, self.d),
+                                  ("rho", node, self.d - 1)):
                 epoch_plan(cfg, dim)
         except RadarConfigError as exc:
-            raise ValueError(f"n, t_min: {exc}") from None
+            key = "t_min" if exc.length in (None, self.t_min) else key
+            raise ValueError(f"n, {key}: {exc}") from None
 
     @property
     def model(self) -> models.ModelSpec:
@@ -270,19 +261,19 @@ def _parse_model(cfg) -> models.ModelSpec:
     return models.ModelSpec(values["kind"], design, x_star, sigma)
 
 
-def _parse_estimators(cfg) -> tuple:
+def _parse_estimators(cfg) -> dict:
+    """{label: bm exponent or None}, in row order: plugin, bm-*, oracle."""
     values = _convert(cfg, _ESTIMATOR_FIELDS, "estimators")
-    choices = [EstimatorChoice("plugin")] if values.get("plugin") else []
-    choices += [EstimatorChoice("bm", c) for c in values.get("batch_means") or ()]
+    out = {"plugin": None} if values.get("plugin") else {}
+    for c in values.get("batch_means") or ():   # one sink and one row per label
+        label = f"bm-{c:g}"
+        if label in out:
+            raise ValueError(f"batch_means: exponents {out[label]!r} "
+                             f"and {c!r} both give the label {label}")
+        out[label] = c
     if values.get("oracle"):
-        choices.append(EstimatorChoice("oracle"))
-    seen = {}
-    for choice in choices:      # one sink and one row per label
-        if choice.label in seen:
-            raise ValueError(f"batch_means: exponents {seen[choice.label].c!r} "
-                             f"and {choice.c!r} both give the label {choice.label}")
-        seen[choice.label] = choice
-    return tuple(choices)
+        out["oracle"] = None
+    return out
 
 
 # The converter of every key a config mapping may set, by where it appears.
@@ -303,9 +294,10 @@ _HIGHDIM_FIELDS = {
     "rho": _real, "sigma": _real, "q": _real, "t_min": _integer}
 
 
-def load_config(path) -> dict:
-    """Parse a YAML config into scenario lists; raises ConfigError naming
-    the file and the offending field, also for a key it does not know."""
+def load_config(path, seed=None) -> dict:
+    """Parse a YAML config into scenario lists, each entry with its seed
+    replaced by `seed` if given; raises ConfigError naming the file, the
+    entry and the offending field, also for a key it does not know."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -326,13 +318,18 @@ def load_config(path) -> dict:
             ("scenarios", ScenarioConfig, _SCENARIO_FIELDS, "scenario"),
             ("highdim", HighDimScenario, _HIGHDIM_FIELDS, "highdim entry")):
         for i, scn in enumerate(top.get(section, [])):
+            entry = f"{section}[{i}]"
             try:
                 values = _convert(scn, fields, where)
-                out[section].append(cls(**{"scenario_id" if k == "id" else k: v
-                                           for k, v in values.items()}))
+                built = cls(**{"scenario_id" if k == "id" else k: v
+                               for k, v in values.items()})
+                if seed is not None:    # rechecked: a new seed draws a new x*
+                    entry += f" with --seed {seed}"
+                    built = dataclasses.replace(built, seed=seed)
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: {section}[{i}]: {exc}")
-            scn_id = out[section][-1].scenario_id
+                raise ConfigError(f"{path}: {entry}: {exc}")
+            out[section].append(built)
+            scn_id = built.scenario_id
             if scn_id in ids:
                 raise ConfigError(f"{path}: {section}[{i}]: id: {scn_id!r} is "
                                   f"also the id of {ids[scn_id]}")
@@ -374,12 +371,12 @@ def run_replication(scn: ScenarioConfig, oracle: OracleBundle, rep_index: int,
     data = models.sample_dataset(model, scn.n, np.random.default_rng(rep_seed))
 
     sinks = {}
-    for choice in scn.estimators:
-        if choice.kind == "plugin":
-            sinks[choice.label] = PluginAccumulator(model.d)
-        elif choice.kind == "bm":
-            schedule = make_schedule(scn.n, batch_count(scn.n, choice.c), scn.alpha)
-            sinks[choice.label] = BatchMeansAccumulator(schedule, model.d)
+    for label, c in scn.estimators.items():
+        if label == "plugin":
+            sinks[label] = PluginAccumulator(model.d)
+        elif c is not None:
+            schedule = make_schedule(scn.n, batch_count(scn.n, c), scn.alpha)
+            sinks[label] = BatchMeansAccumulator(schedule, model.d)
 
     schedule = StepSchedule(eta=scn.resolved_eta, alpha=scn.alpha)
     try:
@@ -443,17 +440,12 @@ def run_highdim_replication(scn: HighDimScenario, oracle: OracleBundle,
         lengths={s0: report.lengths[active], s0c: report.lengths[~active]})
 
 
-def effective_workers(requested: int) -> int:
+def pool_size(workers: int, replications: int) -> int:
     """The requested worker count, capped at the CPUs this process may run
-    on."""
+    on and at the replications, and at least 1; 1 runs in-process."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)     # macOS and Windows: no affinity
-    return max(1, min(int(requested), cpus))
-
-
-def pool_size(workers: int, replications: int) -> int:
-    """effective_workers, capped at the replications; 1 runs in-process."""
-    return min(effective_workers(workers), replications)
+    return max(1, min(int(workers), cpus, replications))
 
 
 def aggregate(scn, oracle: OracleBundle, results: list, wall_time: float) -> list:
@@ -545,7 +537,7 @@ def simulate(config_path, out_dir, workers=None, seed=None):
     entries, into results.csv and results.json in out_dir; returns the rows.
     A scenario whose replications all fail adds no rows; the rest still run,
     and the first such ScenarioFailedError is raised after the writes."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, seed)
     entries = cfg["scenarios"] + cfg["highdim"]
     if not entries:
         raise ConfigError(f"{config_path}: no scenarios or highdim entries")
@@ -553,20 +545,13 @@ def simulate(config_path, out_dir, workers=None, seed=None):
         workers = cfg["workers"]
     elif workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = int(seed)
-    try:    # a new seed draws a new x*, which the budget check reads
-        scenarios = [dataclasses.replace(scn, **overrides) for scn in entries]
-    except ValueError as exc:
-        raise ConfigError(f"{config_path}: with --seed {seed}: {exc}") from None
     try:    # before any replication runs
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: "
                           f"{exc.strerror}") from None
     all_rows, failures, failed = [], {}, None
-    for scn in scenarios:
+    for scn in entries:
         try:
             rows, fails = run_scenario(scn, workers=workers)
         except ScenarioFailedError as exc:
@@ -575,7 +560,7 @@ def simulate(config_path, out_dir, workers=None, seed=None):
         if fails:
             failures[scn.scenario_id] = fails
     echo = {"path": str(config_path), "workers": workers, "seed_override": seed}
-    used = max(pool_size(workers, scn.n_sim) for scn in scenarios)
+    used = max(pool_size(workers, scn.n_sim) for scn in entries)
     write_results(all_rows, failures, out_dir, echo, workers_used=used)
     if failed is not None:
         raise failed

@@ -34,6 +34,10 @@ from .inference import CiReport, confidence_interval
 class RadarConfigError(ValueError):
     """Iteration budget cannot accommodate a single epoch."""
 
+    def __init__(self, message: str, length=None):
+        super().__init__(message)
+        self.length = length    # the first epoch's; None: an invalid config
+
 
 class DegenerateResidualError(RuntimeError):
     """A node-wise residual inner product came out non-positive."""
@@ -126,9 +130,10 @@ def epoch_plan(config: RadarConfig, dim: int) -> list[Epoch]:
             need = 0.0 if isinstance(exc, OverflowError) else math.inf
         t_i = max(config.t_min, math.ceil(need)) if need < math.inf else need
         if used + t_i > config.total_n or len(epochs) == MAX_EPOCHS:
-            if not epochs:
-                raise RadarConfigError(
-                    f"budget {config.total_n} cannot cover one epoch of length {t_i}")
+            if not epochs:      # a length over 15 digits prints as %g
+                shown = f"{t_i:.3g}" if t_i >= 1e15 else t_i
+                raise RadarConfigError(f"budget {config.total_n} cannot cover "
+                                       f"one epoch of length {shown}", length=t_i)
             epochs[-1].length += config.total_n - used
             used = config.total_n
             break

@@ -1,6 +1,6 @@
 """Averaged SGD driver with pluggable streaming estimator sinks.
 
-run() makes one pass over fresh samples and keeps the (Polyak-Ruppert)
+run() makes one pass over its samples and keeps the (Polyak-Ruppert)
 average of the iterates. It walks the stream in pieces of up to _PIECE
 rows: it solves a piece's iterates with no loop over the iterations, and
 then hands every registered sink the piece's iterates, covariates and the
@@ -253,15 +253,12 @@ def _newton_piece(rows, a, b, gamma, first: int, kind: models.ModelKind):
     return j + 1, r[:j + 1], w[:j + 1]
 
 
-def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
-        x0=None, sinks=(), rng: np.random.Generator | None = None,
-        data=None):
-    """Run n SGD steps on a model, streaming into the sinks.
-
-    Samples are drawn from `rng` unless an explicit `data = (A, b)` pair of
-    arrays is supplied. The run starts from `x0`, of shape (d,), or from
-    zero. Returns (final SgdState, list of finalized estimates aligned with
-    `sinks`).
+def run(model: models.ModelSpec, n: int, schedule: StepSchedule, *, data,
+        x0=None, sinks=()):
+    """Run n SGD steps on a model over the samples `data = (A, b)`, of
+    shapes (n, d) and (n,), streaming into the sinks. The run starts from
+    `x0`, of shape (d,), or from zero. Returns (final SgdState, list of
+    finalized estimates aligned with `sinks`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,15 +269,10 @@ def run(model: models.ModelSpec, n: int, schedule: StepSchedule,
         if x0.shape != (d,):
             raise ValueError(f"x0 has shape {x0.shape}, the model needs ({d},)")
 
-    if data is not None:
-        a_all, b_all = (np.asarray(v, dtype=float) for v in data)
-        if a_all.shape != (n, d) or b_all.shape != (n,):
-            raise ValueError(f"data arrays have shapes {a_all.shape} and "
-                             f"{b_all.shape}, need ({n}, {d}) and ({n},)")
-    else:
-        if rng is None:
-            raise ValueError("either rng or data must be provided")
-        a_all, b_all = models.sample_dataset(model, n, rng)
+    a_all, b_all = (np.asarray(v, dtype=float) for v in data)
+    if a_all.shape != (n, d) or b_all.shape != (n,):
+        raise ValueError(f"data arrays have shapes {a_all.shape} and "
+                         f"{b_all.shape}, need ({n}, {d}) and ({n},)")
 
     # row 0 carries the iterate the piece starts from, rows 1.. its iterates
     xs_buf = np.empty((min(_PIECE, n) + 1, d))

@@ -175,7 +175,8 @@ def test_c06_estimator_consistency_trends():
             sinks = [PluginAccumulator(5),
                      BatchMeansAccumulator(
                          make_schedule(n, batch_count(n, 0.25), 0.5), 5)]
-            _, (ep, eb) = run(model, n, sch, sinks=sinks, rng=rng)
+            _, (ep, eb) = run(model, n, sch, sinks=sinks,
+                              data=models.sample_dataset(model, n, rng))
             plug_err[n].append(np.linalg.norm(ep.matrix - np.eye(5), 2))
             bm_err[n].append(np.linalg.norm(eb.matrix - np.eye(5), 2))
     pm = [float(np.median(plug_err[n])) for n in sizes]
@@ -223,7 +224,8 @@ def test_c07_error_decay_slope():
     for seed in range(50):
         rng = np.random.default_rng(np.random.SeedSequence((99, seed)))
         sink = CheckpointSink(marks)
-        run(model, 100_000, sch, sinks=[sink], rng=rng)
+        run(model, 100_000, sch, sinks=[sink],
+            data=models.sample_dataset(model, 100_000, rng))
         for n in marks:
             delta = sink.snapshots[n] - model.xs
             sq[n].append(float(delta @ delta))

@@ -17,7 +17,6 @@ from sgdinf.inference import z_quantile
 from sgdinf.harness import (
     AggregateRow,
     ConfigError,
-    EstimatorChoice,
     ReplicationResult,
     ScenarioConfig,
     aggregate,
@@ -64,8 +63,7 @@ def small_scenario(**kw):
         model=models.ModelSpec("linear", models.DesignSpec("identity", 3),
                                models.default_x_star(3), sigma=1.0),
         n=2000, n_sim=4, seed=11, alpha=0.5, eta=0.5,
-        estimators=(EstimatorChoice("plugin"), EstimatorChoice("bm", 0.25),
-                    EstimatorChoice("oracle")))
+        estimators={"plugin": None, "bm-0.25": 0.25, "oracle": None})
     base.update(kw)
     return ScenarioConfig(**base)
 
@@ -79,7 +77,8 @@ class TestConfig:
         scn = cfg["scenarios"][0]
         assert scn.scenario_id == "smoke"
         assert scn.model.d == 3
-        assert [c.label for c in scn.estimators] == ["plugin", "bm-0.25", "oracle"]
+        assert list(scn.estimators.items()) == [
+            ("plugin", None), ("bm-0.25", 0.25), ("oracle", None)]
         assert len(cfg["highdim"]) == 1
         assert cfg["highdim"][0].s0 == 2
 
@@ -313,9 +312,9 @@ class TestConfig:
          (("    seed: 11", "    seed: -1"),), ["simulate"]),
         ("bad.yaml: highdim[0]: seed must be >= 0, got -1",
          (("    seed: 5", "    seed: -1"),), ["simulate"]),
-        ("bad.yaml: with --seed -3: seed must be >= 0, got -3", (),
+        ("bad.yaml: scenarios[0] with --seed -3: seed must be >= 0, got -3", (),
          ["simulate", "--seed", "-3"]),
-        ("bad.yaml: with --seed -3: seed must be >= 0, got -3",
+        ("bad.yaml: highdim[0] with --seed -3: seed must be >= 0, got -3",
          ((SMALL_YAML[SMALL_YAML.index("scenarios:"):SMALL_YAML.index("highdim:")],
            ""),), ["simulate", "--seed", "-3"]),
         # an id is one cell of results.csv; null read as the id "None"
@@ -367,11 +366,31 @@ class TestConfig:
            (("coef_max: 10.0", "coef_max: 1.0e308"), ("    s0: 2", f"    s0: {s0}")),
            ["simulate"]) for s0 in (2, 3)],
         # an l1 radius whose square underflows divided by zero (exit 1)
-        ("bad.yaml: highdim[0]: n, t_min: budget 60 cannot cover one epoch of "
-         "length inf", (("coef_max: 10.0", "coef_max: 1.0e-200"),), ["simulate"]),
+        ("bad.yaml: highdim[0]: n, coef_max: budget 60 cannot cover one epoch "
+         "of length inf", (("coef_max: 10.0", "coef_max: 1.0e-200"),),
+         ["simulate"]),
         # rows and failures are keyed by the id across both sections
         ("bad.yaml: highdim[0]: id: 'smoke' is also the id of scenarios[0]",
          (("  - id: hd-smoke", "  - id: smoke"),), ["simulate"]),
+        # --seed replaces a valid seed only: the config's own is still checked
+        ("bad.yaml: scenarios[0]: seed must be >= 0, got -1",
+         (("    seed: 11", "    seed: -1"),), ["simulate", "--seed", "3"]),
+        # the radius, not t_min = 8, set these lengths, and the first was
+        # printed as its 201 digits
+        *[(f"bad.yaml: highdim[0]: n, coef_max: budget 100 cannot cover one "
+           f"epoch of length {length}",
+           (("    n: 60", "    n: 100"), ("    d: 12", "    d: 10"),
+            ("    seed: 5", "    seed: 1"), ("    n_sim: 3", "    n_sim: 2"),
+            ("coef_max: 10.0", f"coef_max: {coef_max}")), ["simulate"])
+          for coef_max, length in (("1.0e-100", "6.82e+200"), ("0.05", "2728"))],
+        # the node-wise radius comes from rho
+        ("bad.yaml: highdim[0]: n, rho: budget 60 cannot cover one epoch of "
+         "length 19822",
+         (("coef_max: 10.0", "coef_max: 10.0\n    design: toeplitz\n    rho: 0.01"),),
+         ["simulate"]),
+        # a t_min below 1 fails before any epoch has a length
+        ("bad.yaml: highdim[0]: n, t_min: invalid radar configuration",
+         (("coef_max: 10.0", "coef_max: 10.0\n    t_min: 0"),), ["simulate"]),
     ])
     def test_unusable_value_fails_at_load(self, tmp_path, capsys, message,
                                           edits, argv):
@@ -398,8 +417,8 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out",
                      str(out), "--seed", "3"]) == 2
-        assert ("seeded.yaml: with --seed 3: n, t_min: budget 10 cannot cover "
-                "one epoch of length 38") in capsys.readouterr().err
+        assert ("seeded.yaml: highdim[0] with --seed 3: n, coef_max: budget 10 "
+                "cannot cover one epoch of length 38") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("model,want", [
@@ -551,7 +570,7 @@ class TestAggregate:
                                  lengths={label: np.ones(len(hits))})
 
     def test_all_hits(self):
-        scn = small_scenario(estimators=(EstimatorChoice("plugin"),))
+        scn = small_scenario(estimators={"plugin": None})
         bundle = make_oracle_bundle(scn)
         results = [self._row("plugin", [True, True, True]) for _ in range(3)]
         for i, r in enumerate(results):
@@ -560,7 +579,7 @@ class TestAggregate:
         assert rows[0].cov_rate == 100.0
 
     def test_half_hits(self):
-        scn = small_scenario(estimators=(EstimatorChoice("plugin"),))
+        scn = small_scenario(estimators={"plugin": None})
         bundle = make_oracle_bundle(scn)
         a = self._row("plugin", [True])
         b = self._row("plugin", [False])
@@ -569,7 +588,7 @@ class TestAggregate:
         assert rows[0].cov_rate == 50.0
 
     def test_failed_replications_skipped(self):
-        scn = small_scenario(estimators=(EstimatorChoice("plugin"),))
+        scn = small_scenario(estimators={"plugin": None})
         bundle = make_oracle_bundle(scn)
         good = self._row("plugin", [True, False])
         bad = ReplicationResult(index=1, ok=False, error="diverged")
@@ -578,7 +597,7 @@ class TestAggregate:
         assert rows[0].cov_rate == 50.0
 
     def test_zero_successes_raise(self):
-        scn = small_scenario(estimators=(EstimatorChoice("plugin"),))
+        scn = small_scenario(estimators={"plugin": None})
         bundle = make_oracle_bundle(scn)
         bad = ReplicationResult(index=1, ok=False, error="diverged")
         worse = ReplicationResult(index=0, ok=False, error="also diverged")
@@ -635,17 +654,17 @@ class TestScenarioRuns:
 
     def test_workers_capped_at_available_cpus(self):
         cpus = len(os.sched_getaffinity(0))
-        assert harness.effective_workers(4 * cpus) == cpus
-        assert harness.effective_workers(1) == 1
-        assert harness.effective_workers(0) == 1
+        assert harness.pool_size(4 * cpus, 10**6) == cpus
+        assert harness.pool_size(1, 10**6) == 1
+        assert harness.pool_size(0, 10**6) == 1
 
     @pytest.mark.parametrize("count, want", [(3, 3), (None, 1)])
     def test_workers_without_cpu_affinity(self, monkeypatch, count, want):
         # off Linux the cap falls back to os.cpu_count(), which may be None
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert harness.effective_workers(8) == want
-        assert harness.effective_workers(1) == 1
+        assert harness.pool_size(8, 10**6) == want
+        assert harness.pool_size(1, 10**6) == 1
 
     def test_pool_never_larger_than_replications(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),

@@ -60,6 +60,17 @@ class TestEpochPlan:
         with pytest.raises(RadarConfigError, match="length inf"):
             epoch_plan(RadarConfig(r1=r1, s_bound=1, total_n=100), 10)
 
+    @pytest.mark.parametrize("r1,length,shown", [
+        (1.0, 8, "8"), (1e-7, 230258509299405, "230258509299405"),
+        (3e-8, 2558427881104496, "2.56e+15"), (1e-200, math.inf, "inf")])
+    def test_uncovered_epoch_carries_its_length(self, r1, length, shown):
+        # the harness reads .length to name the key that set it; a length
+        # over 15 digits printed as all its digits, up to 309 of them
+        with pytest.raises(RadarConfigError) as err:
+            epoch_plan(RadarConfig(r1=r1, s_bound=1, total_n=3), 10)
+        assert err.value.length == length
+        assert str(err.value) == f"budget 3 cannot cover one epoch of length {shown}"
+
     @pytest.mark.parametrize("r1", [math.nan, math.inf, -1.0])
     def test_radius_must_be_finite_and_nonnegative(self, r1):
         with pytest.raises(RadarConfigError):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from sgdinf import DesignSpec, ModelSpec, StepSchedule, run
+from sgdinf.models import sample_dataset
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,5 +39,5 @@ def test_sink_example_runs_through_run():
     model = ModelSpec("logistic", DesignSpec("identity", 3), (0.0, 0.5, 1.0))
     state, (last,) = run(model, 5000, StepSchedule(eta=1.0, alpha=0.5),
                          sinks=[scope["LastIterate"]()],
-                         rng=np.random.default_rng(0))
+                         data=sample_dataset(model, 5000, np.random.default_rng(0)))
     assert np.array_equal(last, state.x)

@@ -139,14 +139,18 @@ class TestSolve:
 class TestRun:
     def test_single_step_observes_once(self, rng):
         sink = RecordingSink()
-        run(linear_model(), 1, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
+        model = linear_model()
+        run(model, 1, StepSchedule(0.5, 0.5), sinks=[sink],
+            data=models.sample_dataset(model, 1, rng))
         assert sink.calls == [1]
 
     def test_observe_order_and_count(self, rng, monkeypatch):
         # the blocks tile 1..n: contiguous, in order, each non-empty
+        model = linear_model()
         for piece in each_piece(monkeypatch):
             sink = RecordingSink()
-            run(linear_model(), 250, StepSchedule(0.5, 0.5), sinks=[sink], rng=rng)
+            run(model, 250, StepSchedule(0.5, 0.5), sinks=[sink],
+                data=models.sample_dataset(model, 250, rng))
             assert sink.calls == list(range(1, 251))
             assert all(len(xs) > 0 for _, xs, *_ in sink.blocks)
             assert len(sink.blocks) == -(-250 // piece)
@@ -154,15 +158,18 @@ class TestRun:
     def test_deterministic_given_seed(self):
         model = linear_model()
         sch = StepSchedule(0.5, 0.5)
-        s1, _ = run(model, 2000, sch, rng=np.random.default_rng(42))
-        s2, _ = run(model, 2000, sch, rng=np.random.default_rng(42))
+        s1, _ = run(model, 2000, sch, data=models.sample_dataset(
+            model, 2000, np.random.default_rng(42)))
+        s2, _ = run(model, 2000, sch, data=models.sample_dataset(
+            model, 2000, np.random.default_rng(42)))
         assert np.array_equal(s1.x_bar, s2.x_bar)
         assert np.array_equal(s1.x, s2.x)
 
     def test_running_average_matches_trace_mean(self, rng):
         trace = RecordingSink()
         model = linear_model()
-        state, _ = run(model, 1000, StepSchedule(0.5, 0.5), sinks=[trace], rng=rng)
+        state, _ = run(model, 1000, StepSchedule(0.5, 0.5), sinks=[trace],
+                       data=models.sample_dataset(model, 1000, rng))
         assert np.abs(state.x_bar - trace.stacked(1).mean(axis=0)).max() < 1e-10
 
     def test_matches_reference_implementation(self, rng):
@@ -300,7 +307,8 @@ class TestRun:
     @pytest.mark.parametrize("x0", [[2.0], np.zeros(6), np.zeros((5, 1))])
     def test_x0_shape_checked(self, x0, rng):
         with pytest.raises(ValueError, match=r"\(5,\)") as err:
-            run(linear_model(), 1, StepSchedule(0.5, 0.5), x0=x0, rng=rng)
+            run(linear_model(), 1, StepSchedule(0.5, 0.5), x0=x0,
+                data=models.sample_dataset(linear_model(), 1, rng))
         assert str(np.shape(x0)) in str(err.value)
 
     def test_hessians_computed_only_when_needed(self, rng, monkeypatch):
@@ -374,7 +382,8 @@ class TestRun:
         errs = []
         for seed in range(20):
             state, _ = run(model, 100000, StepSchedule(0.5, 0.5),
-                           rng=np.random.default_rng(seed))
+                           data=models.sample_dataset(
+                               model, 100000, np.random.default_rng(seed)))
             errs.append(np.linalg.norm(state.x_bar - model.xs))
         assert np.median(errs) < 0.05
 
@@ -503,8 +512,8 @@ class TestRun:
                 raise RuntimeError("boom")
 
         with pytest.raises(SinkFinalizeError) as err:
-            run(linear_model(), 10, StepSchedule(0.5, 0.5),
-                sinks=[Broken()], rng=rng)
+            run(linear_model(), 10, StepSchedule(0.5, 0.5), sinks=[Broken()],
+                data=models.sample_dataset(linear_model(), 10, rng))
         assert "Broken" in str(err.value)
 
     def test_finalize_errors_keep_every_sink(self, rng):
@@ -513,13 +522,13 @@ class TestRun:
                  for n in (4000, 5000)]
         with pytest.raises(SinkFinalizeError) as err:
             run(linear_model(d=2), 2000, StepSchedule(0.5, 0.5), sinks=sinks,
-                rng=rng)
+                data=models.sample_dataset(linear_model(d=2), 2000, rng))
         assert len(err.value.errors) == 2
         for n in (4000, 5000):
             assert f"schedule expects {n}" in str(err.value)
 
-    def test_requires_rng_or_data(self):
-        with pytest.raises(ValueError):
+    def test_requires_data_of_the_right_shape(self):
+        with pytest.raises(TypeError, match="data"):
             run(linear_model(), 10, StepSchedule(0.5, 0.5))
         with pytest.raises(ValueError, match=r"shapes \(10, 4\) and \(9,\), "
                                              r"need \(10, 5\) and \(10,\)"):
